@@ -144,7 +144,10 @@ class DiffFair(BaseEstimator):
         """Return the (majority, minority) violation scores per row.
 
         ``scores[i, 0]`` is the row's minimum violation against the majority
-        partitions, ``scores[i, 1]`` against the minority partitions.
+        partitions, ``scores[i, 1]`` against the minority partitions
+        (:meth:`~repro.core.partitions.PartitionProfile.group_violations`;
+        ``+inf`` for a group with no profiled partition, so :meth:`route`
+        sends every row to the other group's model).
         """
         self._check_fitted("model_majority_")
         X = check_array(X, name="X")
@@ -152,10 +155,7 @@ class DiffFair(BaseEstimator):
             raise ValidationError(
                 f"X has {X.shape[1]} features, DiffFair was fitted with {self.n_features_}"
             )
-        numeric = X[:, : self.n_numeric_features_]
-        majority_violation = self.profile_.min_violation_for_group(0, numeric)
-        minority_violation = self.profile_.min_violation_for_group(1, numeric)
-        return np.column_stack([majority_violation, minority_violation])
+        return self.profile_.group_violations(X[:, : self.n_numeric_features_])
 
     def route(self, X) -> np.ndarray:
         """Return 0/1 per row: which group's model serves the tuple.
@@ -170,7 +170,8 @@ class DiffFair(BaseEstimator):
     def predict(self, X) -> np.ndarray:
         """Predict labels, serving each tuple with its best-conforming model."""
         routes = self.route(X)
-        X = check_array(X, name="X")
+        # route() validated X (finite, fitted width); only convert it here.
+        X = check_array(X, name="X", force_finite=False)
         predictions = np.empty(X.shape[0], dtype=np.int64)
         majority_rows = routes == 0
         if majority_rows.any():
@@ -182,7 +183,7 @@ class DiffFair(BaseEstimator):
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities from the routed models, shape ``(n_samples, 2)``."""
         routes = self.route(X)
-        X = check_array(X, name="X")
+        X = check_array(X, name="X", force_finite=False)
         probabilities = np.empty((X.shape[0], 2), dtype=np.float64)
         majority_rows = routes == 0
         if majority_rows.any():

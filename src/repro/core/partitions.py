@@ -23,6 +23,7 @@ from repro.datasets.table import Dataset
 from repro.exceptions import ConstraintError
 from repro.profiling.constraints import ConstraintSet
 from repro.profiling.discovery import DiscoveryConfig, discover_constraints
+from repro.profiling.kernel import CompiledConstraints
 from repro.telemetry import span
 from repro.utils.parallel import thread_map
 
@@ -42,11 +43,42 @@ class PartitionProfile:
         Number of training tuples per partition (before filtering).
     profiled_sizes:
         Number of tuples actually profiled per partition (after filtering).
+
+    Scoring all partitions goes through one stacked
+    :class:`~repro.profiling.kernel.CompiledConstraints` (partitions in
+    sorted key order, so each group's label partitions are adjacent).  It is
+    derived state, not a field: built on the first score (and rebuilt if
+    ``constraint_sets`` is reassigned or its entries change), never
+    persisted — :func:`profile_partitions` fills the mapping after
+    construction, and artifacts store only the fields.
     """
 
     constraint_sets: Dict[PartitionKey, ConstraintSet] = field(default_factory=dict)
     partition_sizes: Dict[PartitionKey, int] = field(default_factory=dict)
     profiled_sizes: Dict[PartitionKey, int] = field(default_factory=dict)
+
+    def _stacked(self) -> Tuple[CompiledConstraints, Tuple[Tuple[int, int, int], ...]]:
+        """The compiled form plus each group's ``(group, first, stop)`` columns."""
+        source = tuple(self.constraint_sets.items())
+        cached = self.__dict__.get("_compiled")
+        if cached is not None and cached[0] == source:
+            return cached[1]
+        if not source:
+            raise ConstraintError("The partition profile holds no constraint sets")
+        keys = sorted(self.constraint_sets)
+        compiled = CompiledConstraints([self.constraint_sets[key] for key in keys])
+        groups = []
+        for g in (0, 1):
+            columns = [i for i, key in enumerate(keys) if key[0] == g]
+            if columns:
+                groups.append((g, columns[0], columns[-1] + 1))
+        self._compiled = (source, (compiled, tuple(groups)))
+        return self._compiled[1]
+
+    @property
+    def n_features(self) -> Optional[int]:
+        """Width of the numeric rows the constraints score (``None``: any)."""
+        return self._stacked()[0].n_features
 
     def violation(self, key: PartitionKey, X_numeric: np.ndarray) -> np.ndarray:
         """Quantitative violation of the partition's constraints for each row."""
@@ -54,21 +86,21 @@ class PartitionProfile:
             raise ConstraintError(f"No constraint set for partition {key!r}")
         return self.constraint_sets[key].violation(X_numeric)
 
-    def min_violation_for_group(self, group_value: int, X_numeric: np.ndarray) -> np.ndarray:
-        """Per-row minimum violation across the label partitions of one group.
+    def group_violations(self, X_numeric) -> np.ndarray:
+        """Per row, the minimum violation over each group's label partitions.
 
-        This is the ``min_{Phi in C}`` step of Algorithm 1's PREDICT
-        procedure: a tuple's affinity to a group is its violation against the
-        *closest* label partition of that group.
+        Returns an ``(n_rows, 2)`` array whose column ``g`` is the
+        ``min_{Phi in C}`` step of Algorithm 1's PREDICT procedure for group
+        ``g``: a tuple's affinity to a group is its violation against the
+        *closest* label partition of that group.  A group without any
+        profiled partition scores ``+inf`` (no tuple conforms to it).
         """
-        violations = [
-            self.violation((group_value, label), X_numeric)
-            for label in (0, 1)
-            if (group_value, label) in self.constraint_sets
-        ]
-        if not violations:
-            raise ConstraintError(f"No constraint sets for group {group_value}")
-        return np.minimum.reduce(violations)
+        compiled, groups = self._stacked()
+        per_set = compiled.violations(X_numeric).T  # (P, n_rows), C-ordered
+        out = np.full((2, per_set.shape[1]), np.inf)
+        for g, first, stop in groups:
+            np.minimum.reduce(per_set[first:stop], axis=0, out=out[g])
+        return out.T
 
     def keys(self):
         return self.constraint_sets.keys()

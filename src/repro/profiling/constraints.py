@@ -22,8 +22,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ConstraintError
+from repro.profiling.kernel import CompiledConstraints
 from repro.profiling.projections import Projection
-from repro.utils.validation import check_array
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,11 @@ class ConstraintSet:
     ``q_i = 1 - sigma_i / (max(sigma) - min(sigma))`` normalized to sum to
     one (uniform when all standard deviations are equal).  Lower-variance
     projections therefore dominate the violation score.
+
+    The constraints are the readable description; :meth:`violation` scores
+    through their compiled form
+    (:class:`~repro.profiling.kernel.CompiledConstraints`), derived state
+    built on the first score and never persisted.
     """
 
     constraints: List[ConformanceConstraint] = field(default_factory=list)
@@ -96,6 +101,7 @@ class ConstraintSet:
 
     def __post_init__(self) -> None:
         self._weights = self._compute_weights()
+        self._compiled: Optional[CompiledConstraints] = None
 
     def __len__(self) -> int:
         return len(self.constraints)
@@ -128,16 +134,15 @@ class ConstraintSet:
 
     # ----------------------------------------------------------- semantics
     def violation(self, X) -> np.ndarray:
-        """Weighted quantitative violation per row of ``X`` (0 = full conformance)."""
-        if not self.constraints:
-            X = check_array(X, name="X")
-            return np.zeros(X.shape[0], dtype=np.float64)
-        total = np.zeros(np.asarray(X).shape[0], dtype=np.float64)
-        for weight, constraint in zip(self._weights, self.constraints):
-            if weight == 0.0:
-                continue
-            total += weight * constraint.violations(X)
-        return total
+        """Weighted quantitative violation per row of ``X`` (0 = full conformance).
+
+        The one-set case of :class:`~repro.profiling.kernel.CompiledConstraints`,
+        compiled on the first call.
+        """
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = CompiledConstraints([self])
+        return compiled.violations(X)[:, 0]
 
     def conforming_mask(self, X, tol: float = 0.0) -> np.ndarray:
         """Boolean mask of rows whose total violation is ``<= tol``."""

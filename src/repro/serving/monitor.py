@@ -389,7 +389,10 @@ class FairnessMonitor(BaseEstimator):
         X:
             Optional feature rows; scored for conformance violation when the
             monitor holds a profile and for log-density when it holds a
-            density estimator.
+            density estimator.  Rows narrower than the scored numeric
+            columns, or with NaN/inf in them, raise
+            :class:`~repro.exceptions.ValidationError` and leave the monitor
+            unchanged.
         sequence:
             Optional global position of this batch in the stream.  Left
             ``None`` (a single monitor consuming its own stream) the monitor
@@ -467,13 +470,21 @@ class FairnessMonitor(BaseEstimator):
         return violation_sum, density_sum
 
     # -------------------------------------------------------------- drift
-    def _numeric_columns(self, X, width_default: int) -> np.ndarray:
+    def _numeric_columns(self, X, width_default: Optional[int]) -> np.ndarray:
+        """The leading numeric columns a channel scores; a narrower ``X`` is a
+        :class:`~repro.exceptions.ValidationError`, raised before any state
+        changes."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X.reshape(1, -1)
         width = self.n_numeric_features
         if width is None:
-            width = width_default
+            width = X.shape[-1] if width_default is None else width_default
+        if X.shape[-1] < width:
+            raise ValidationError(
+                f"X has {X.shape[-1]} columns; the monitor scores its first {width} "
+                "numeric columns"
+            )
         return X[:, :width]
 
     def violation_scores(self, X) -> np.ndarray:
@@ -485,19 +496,8 @@ class FairnessMonitor(BaseEstimator):
         """
         if self.profile is None:
             raise ValidationError("FairnessMonitor has no partition profile to score against")
-        first = next(iter(self.profile.constraint_sets.values()))
-        width_default = (
-            first.constraints[0].projection.n_features
-            if len(first)
-            else np.asarray(X).shape[-1]
-        )
-        numeric = self._numeric_columns(X, width_default)
-        per_group = [
-            self.profile.min_violation_for_group(g, numeric)
-            for g in (0, 1)
-            if any(key[0] == g for key in self.profile.keys())
-        ]
-        return np.minimum.reduce(per_group)
+        numeric = self._numeric_columns(X, self.profile.n_features)
+        return self.profile.group_violations(numeric).min(axis=1)
 
     def log_density_scores(self, X) -> np.ndarray:
         """Per-row log-density of the observed tuples under the training KDE.

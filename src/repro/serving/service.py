@@ -59,7 +59,13 @@ from repro.telemetry import (
 
 @dataclass
 class ServiceStats:
-    """Cumulative serving statistics (requests, records, wall time)."""
+    """Cumulative serving statistics (requests, records, wall time).
+
+    ``total_seconds`` is end to end per served request: model predict, the
+    monitor feed and the event emit (the same interval
+    ``serving.request_latency_seconds`` observes).  A request that raises is
+    not counted.
+    """
 
     n_requests: int = 0
     n_records: int = 0
@@ -96,7 +102,10 @@ class PredictionService:
         every request feeds ``serving.requests_total`` /
         ``serving.records_total`` counters and the
         ``serving.request_latency_seconds`` / ``serving.batch_rows`` /
-        ``serving.queue_wait_seconds`` histograms; when disabled the cost is
+        ``serving.queue_wait_seconds`` histograms; request latency is end
+        to end, from the start of the model predict until the monitor feed
+        and the event emit are done (:class:`ServiceStats` times the same
+        interval).  When disabled the cost is
         one attribute read per request.  Fleet shards pass private
         registries so per-shard histograms merge without double counting.
     events:
@@ -231,22 +240,11 @@ class PredictionService:
         with span_cm as span_handle:
             start = time.perf_counter()
             predictions = self._predict_batched(X, group)
-            elapsed = time.perf_counter() - start
-
-            if self.telemetry.enabled:
-                self._m_requests.inc()
-                self._m_records.inc(int(X.shape[0]))
-                self._m_latency.observe(
-                    elapsed, exemplar=None if trace_id is None else str(trace_id)
-                )
 
             # Stats are read-modify-write and the monitor's sliding window is
             # not internally synchronized; one lock keeps both exact under
             # concurrent callers.
             with self._lock:
-                self.stats.n_requests += 1
-                self.stats.n_records += int(X.shape[0])
-                self.stats.total_seconds += elapsed
                 served_sequence = sequence
                 if self.monitor is not None:
                     # Group-blind requests still feed the monitor: the drift
@@ -261,6 +259,19 @@ class PredictionService:
                     self.events.emit(
                         "request", sequence=int(served_sequence), rows=int(X.shape[0])
                     )
+                # End to end: the clock stops after the monitor feed and the
+                # event emit, the request's last stages.
+                elapsed = time.perf_counter() - start
+                self.stats.n_requests += 1
+                self.stats.n_records += int(X.shape[0])
+                self.stats.total_seconds += elapsed
+
+            if self.telemetry.enabled:
+                self._m_requests.inc()
+                self._m_records.inc(int(X.shape[0]))
+                self._m_latency.observe(
+                    elapsed, exemplar=None if trace_id is None else str(trace_id)
+                )
             if span_handle is not None and served_sequence is not None:
                 span_handle.set(sequence=int(served_sequence))
         return predictions

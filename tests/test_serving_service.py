@@ -1,18 +1,20 @@
 """Tests for the prediction service, the fairness monitor, and the CLI."""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 from repro import FairnessPipeline
 from repro.core import profile_partitions
-from repro.datasets import make_drifted_groups, split_dataset
+from repro.datasets import load_dataset, make_drifted_groups, split_dataset
 from repro.exceptions import ValidationError
 from repro.fairness import evaluate_predictions
 from repro.fairness.streaming import FairnessAccumulator, StreamCounts
 from repro.serving import FairnessMonitor, PredictionService, save_artifact
 from repro.serving.cli import main as cli_main
+from repro.telemetry import MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +110,29 @@ class TestPredictionService:
         assert service.stats.n_requests == 2
         assert service.stats.n_records == serving_split.deploy.n_samples + 10
         assert service.stats.records_per_second > 0
+
+    def test_latency_is_end_to_end(self, serving_split, diffair_result):
+        class SlowDensity:
+            """A fitted-looking density estimator whose scoring sleeps."""
+
+            training_data_ = np.zeros((1, 4))
+            n_features_ = 4
+
+            def score_samples(self, X):
+                time.sleep(0.05)
+                return np.zeros(np.asarray(X).shape[0])
+
+        registry = MetricsRegistry(enabled=True)
+        monitor = FairnessMonitor(window_size=100, density_estimator=SlowDensity())
+        service = PredictionService(diffair_result, monitor=monitor, telemetry=registry)
+        deploy = serving_split.deploy
+        service.predict(deploy.X[:3], deploy.group[:3])
+        service.predict(deploy.X[3:4])
+        # The monitor feed (two 50 ms density scorings) is inside both clocks.
+        assert service.stats.total_seconds >= 0.1
+        latency = registry.histogram("serving.request_latency_seconds")
+        assert latency.count == 2
+        assert latency.min >= 0.05 and latency.sum >= 0.1
 
     def test_predict_records_requires_preprocessor(self, diffair_result):
         service = PredictionService(diffair_result)
@@ -238,6 +263,24 @@ class TestFairnessMonitor:
         scores = monitor.log_density_scores(train.X)
         direct = estimator.score_samples(train.numeric_X)
         np.testing.assert_array_equal(scores, np.maximum(direct, -700.0))
+
+    def test_bad_rows_rejected_at_the_monitor_boundary(self):
+        data = load_dataset("meps", size_factor=0.02, random_state=7)
+        profile = profile_partitions(data)
+        monitor = FairnessMonitor(window_size=100, profile=profile)
+        assert profile.n_features == data.n_numeric_features == 6
+        y_pred = np.zeros(5, dtype=np.int64)
+        narrow = data.X[:5, :4]  # fewer columns than the profile scores
+        with_nan = data.X[:5].copy()
+        with_nan[2, 1] = np.nan  # inside a scored numeric column
+        for X in (narrow, with_nan):
+            with pytest.raises(ValidationError):
+                monitor.violation_scores(X)
+            with pytest.raises(ValidationError):
+                monitor.update(y_pred, data.group[:5], X=X)
+            assert monitor.n_seen == 0
+        monitor.update(y_pred, data.group[:5], X=data.X[:5])
+        assert monitor.n_seen == 5
 
     def test_density_estimator_must_be_fitted(self):
         from repro.density import KernelDensity
