@@ -3,9 +3,9 @@
 Measures records/second for 10k rows pushed through a 4-shard
 :class:`~repro.fleet.FleetService` (inline workers, round-robin dispatch,
 sequence stamping, per-request monitor updates) — the full fleet hot path:
-asyncio fan-out, executor dispatch, shard-local serving.  The merged-monitor
-aggregation is benchmarked separately so the regression gate can tell the
-request path from the reporting path.  Shape assertions: every shard serves
+shard selection and shard-local serving, both on the caller's thread.  The
+merged-monitor aggregation is benchmarked separately so the regression gate
+can tell the request path from the reporting path.  Shape assertions: every shard serves
 an equal request share and the merged monitor saw the union stream.
 """
 

@@ -25,6 +25,7 @@ Run with:  python examples/alarm_forensics.py
 
 from repro import FairnessPipeline, make_drifted_groups, split_dataset
 from repro.fleet import FleetService
+from repro.serving import MonitorThresholds
 from repro.serving.cli import find_profile
 from repro.simulate import ReplayHarness, SuiteRunner, TrafficStream, make_scenario
 from repro.telemetry import enable as enable_telemetry, get_event_log
@@ -56,7 +57,7 @@ def main() -> None:
         profile=find_profile(result),
         calibration=split.validation,
         window_size=900,
-        min_samples=40,
+        thresholds=MonitorThresholds(min_samples=40),
     )
 
     # 2. Replay a drifting stream through the fleet.  The harness emits an

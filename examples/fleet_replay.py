@@ -19,6 +19,7 @@ Run with:  python examples/fleet_replay.py
 
 from repro import FairnessPipeline, make_drifted_groups, split_dataset
 from repro.fleet import compare_sharded_replay
+from repro.serving import MonitorThresholds
 from repro.serving.cli import find_profile
 from repro.simulate import SuiteRunner, TrafficStream, make_scenario
 
@@ -45,7 +46,7 @@ def main() -> None:
         profile=find_profile(result),
         calibration=split.validation,
         window_size=900,
-        min_samples=40,
+        thresholds=MonitorThresholds(min_samples=40),
     )
 
     # 2–3. Same stream, 1 shard vs. 8 shards; the comparison re-runs the

@@ -52,8 +52,8 @@ Round trips are guaranteed bit-identical — ``load_artifact(save_artifact(m))``
 predicts exactly what ``m`` predicts for every registered intervention ×
 learner pair — and any mismatch (schema version, unknown learner class,
 corrupted payload) raises :class:`~repro.exceptions.ArtifactError`.  The
-``repro-serve`` console script (``python -m repro.serve``) wires the path end
-to end: ``fit`` → ``save`` → ``serve``/``score``.
+``repro-serve`` console script (``python -m repro.serving.cli``) wires the
+path end to end: ``fit`` → ``save`` → ``serve``/``score``.
 
 Simulation quickstart::
 
@@ -115,8 +115,8 @@ Fleet quickstart::
 
 :mod:`repro.fleet` scales one monitored service out to N shards: worker
 processes memory-map the same artifact (cold start is O(manifest), not
-O(weights)), an asyncio front-end fans micro-batches out round-robin while
-preserving row order, and the per-shard ``FairnessMonitor`` states are
+O(weights)), a front-end sends each request whole to the next shard
+round-robin, and the per-shard ``FairnessMonitor`` states are
 **merged** — :meth:`FairnessMonitor.merge` is bit-identical to one monitor
 having observed the union stream, so the fleet-level DI*/AOD*/drift view is
 exact, not approximate.  ``repro-fleet replay --shards N`` proves it by
@@ -220,7 +220,7 @@ from repro.telemetry import MetricsRegistry
 # Observability quickstart's `from repro import telemetry`.
 from repro import telemetry
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 # The serving subsystem consumes everything above (interventions, learners,
 # datasets), the simulation subsystem consumes serving, and the fleet

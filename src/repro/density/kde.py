@@ -33,7 +33,7 @@ from repro.density.backends import (
     get_backend,
     resolve_algorithm,
 )
-from repro.density.kernels import COMPACT_KERNELS, kernel_by_name, log_normalization
+from repro.density.kernels import kernel_by_name, log_normalization
 from repro.exceptions import ValidationError
 from repro.learners.base import BaseEstimator
 from repro.utils.validation import check_array
@@ -108,8 +108,6 @@ class KernelDensity(BaseEstimator):
         resolution.  The spatial-index backends (``kd_tree``/``grid``)
         compute their exact distances in float64 regardless.
     """
-
-    _COMPACT_KERNELS = COMPACT_KERNELS  # kept for backward compatibility
 
     # Fitted attributes that fully determine predictions; the backend
     # structure itself is derived state — it is rebuilt lazily from

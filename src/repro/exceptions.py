@@ -63,9 +63,9 @@ class FleetError(ReproError):
     """Raised for sharded-serving failures in :mod:`repro.fleet`.
 
     Covers worker processes that die or fail to start, requests dispatched
-    to a closed fleet, and invalid fleet configuration (no workers, unknown
-    dispatch policy).  Monitor-merge mismatches raise
-    :class:`ValidationError` from the monitor itself.
+    to a closed worker, and invalid fleet configuration (no workers).
+    Monitor-merge mismatches raise :class:`ValidationError` from the
+    monitor itself.
     """
 
 

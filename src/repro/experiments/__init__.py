@@ -2,9 +2,9 @@
 
 The harness has three layers:
 
-* :mod:`repro.experiments.runner` — fit-and-evaluate one (dataset, method,
-  learner, seed) cell and return a :class:`~repro.fairness.FairnessReport`
-  plus the wall-clock cost.
+* :class:`repro.interventions.FairnessPipeline` — fit-and-evaluate one
+  (dataset, method, learner, seed) cell and return a
+  :class:`~repro.fairness.FairnessReport` plus the wall-clock cost.
 * :mod:`repro.experiments.aggregate` — repeat cells over seeds and average.
 * one module per paper artifact (``figure02`` … ``figure14``) — compose the
   cells each figure needs and render the same rows/series the paper reports.
@@ -34,7 +34,6 @@ from repro.experiments.figure12 import run_figure12
 from repro.experiments.figure13 import run_figure13
 from repro.experiments.figure14 import run_figure14
 from repro.experiments.reporting import FigureResult, render_table
-from repro.experiments.runner import METHOD_NAMES, evaluate_cell, run_method
 from repro.experiments.scenario_suite import run_scenario_suite
 
 __all__ = [
@@ -42,9 +41,7 @@ __all__ = [
     "DEFAULT_REAL_WORLD_DATASETS",
     "ExperimentConfig",
     "FigureResult",
-    "METHOD_NAMES",
     "aggregate_cells",
-    "evaluate_cell",
     "render_table",
     "run_comparison",
     "run_figure02",
@@ -59,6 +56,5 @@ __all__ = [
     "run_figure13",
     "run_figure14",
     "run_intervention_sweep",
-    "run_method",
     "run_scenario_suite",
 ]

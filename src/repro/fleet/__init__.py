@@ -10,10 +10,9 @@ guarantees the serving layer was built around:
   ``load_artifact(..., mmap_mode="r")``, so the payload arrays are
   memory-mapped from a shared extraction cache: per-worker cold start is
   O(manifest), and the weights occupy one physical copy machine-wide.
-* **The front-end** (:class:`FleetService`) fans requests to shards
-  (round-robin or least-loaded), preserves response ordering, stamps every
-  dispatched batch with a stream-wide sequence number, and merges the shard
-  monitors through
+* **The front-end** (:class:`FleetService`) sends each request whole to
+  the next shard round-robin, on the caller's thread, stamps it with a
+  stream-wide sequence number, and merges the shard monitors through
   :meth:`~repro.serving.FairnessMonitor.merge_state_dicts` into the
   union-stream monitor.
 * **The proof** (:func:`compare_sharded_replay`) replays a drift scenario
@@ -66,13 +65,11 @@ over the dumps) stitches the frontend and shard views of one request back
 together.  Worker process start/close lands in the frontend log as
 ``worker_lifecycle`` events with cold-start timings.
 
-Async callers use ``await fleet.predict_async(...)`` directly.  Keep the
-default ``dispatch="round_robin"`` and ``scatter_rows=None`` whenever the
-merged monitor must reproduce a single-service run exactly; switch to
-``least_loaded``/row scattering only when balance matters more than
-replayability.  The ``repro-fleet`` CLI wraps the same pieces: ``serve``
-(throughput + fleet report), ``replay`` (sharded-vs-single equivalence
-check), and ``report`` (inspect a saved fleet report).
+Async callers use ``await fleet.predict_async(...)``, which runs
+``predict`` on the event loop's default executor.  The ``repro-fleet`` CLI
+wraps the same pieces: ``serve`` (throughput + fleet report), ``replay``
+(sharded-vs-single equivalence check), and ``report`` (inspect a saved
+fleet report).
 """
 
 from repro.fleet.replay import (
@@ -81,11 +78,10 @@ from repro.fleet.replay import (
     compare_sharded_suite,
     diff_replay_results,
 )
-from repro.fleet.service import DISPATCH_POLICIES, FleetService
+from repro.fleet.service import FleetService
 from repro.fleet.workers import InlineShardWorker, ProcessShardWorker, ShardSnapshot
 
 __all__ = [
-    "DISPATCH_POLICIES",
     "FleetService",
     "InlineShardWorker",
     "ProcessShardWorker",

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.exceptions import ReproError, ValidationError
 from repro.fleet.replay import compare_sharded_replay
-from repro.fleet.service import DISPATCH_POLICIES, FleetService
+from repro.fleet.service import FleetService
 from repro.fleet.workers import ProcessShardWorker
 from repro.serving.artifacts import save_artifact
 from repro.serving.cli import emit_json, parse_params
@@ -76,8 +76,7 @@ def cmd_serve(args) -> int:
                     mmap_mode="r" if args.mmap else None,
                 )
                 for shard_id in range(args.shards)
-            ],
-            dispatch=args.dispatch,
+            ]
         )
 
     deploy = split.deploy
@@ -156,7 +155,6 @@ def cmd_report(args) -> int:
         raise ValidationError(f"cannot read fleet report {args.input!r}: {error}") from error
     summary = {
         "n_shards": report.get("n_shards"),
-        "dispatch": report.get("dispatch"),
         "n_requests": report.get("n_requests"),
         "n_records": report.get("n_records"),
         "records_per_second": report.get("records_per_second"),
@@ -239,12 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("inline", "process"),
         default="inline",
         help="inline shard workers (in-process) or spawned worker processes",
-    )
-    serve.add_argument(
-        "--dispatch",
-        choices=DISPATCH_POLICIES,
-        default="round_robin",
-        help="request dispatch policy (process backend)",
     )
     mmap = serve.add_mutually_exclusive_group()
     mmap.add_argument(

@@ -1,31 +1,30 @@
-"""``FleetService``: the asyncio front-end of the sharded serving fleet.
+"""``FleetService``: the front-end of the sharded serving fleet.
 
-The front-end accepts requests (sync ``predict`` or native
-``predict_async``), fans micro-batches out to shard workers round-robin or
-least-loaded, preserves request ordering in the responses (parts are
-gathered in dispatch order regardless of completion order), stamps every
-dispatched batch with a stream-wide **sequence number**, and aggregates the
-per-shard :class:`~repro.serving.ServiceStats` and monitor states into one
-fleet-level view: :attr:`FleetService.monitor` is the shards' windows merged
-through :meth:`~repro.serving.FairnessMonitor.merge_state_dicts` — the
-union-stream monitor, bit for bit.
+The front-end accepts requests (sync ``predict``, or ``predict_async`` for
+asyncio callers), sends each request whole to the next shard worker
+round-robin, stamps it with a stream-wide **sequence number**, and
+aggregates the per-shard :class:`~repro.serving.ServiceStats` and monitor
+states into one fleet-level view: :attr:`FleetService.monitor` is the
+shards' windows merged through
+:meth:`~repro.serving.FairnessMonitor.merge_state_dicts` — the union-stream
+monitor, bit for bit.
 
-Determinism contract: with ``dispatch="round_robin"`` and no scattering
-(``scatter_rows=None``, the default — each request goes whole to one shard)
-the sequence-stamped shard windows merge to a monitor *bit-identical* to a
-single :class:`~repro.serving.PredictionService` that served the same
-request stream.  ``least_loaded`` dispatch and row scattering trade that
-reproducibility for balance: both are timing-dependent (which shard is
-least loaded, how a request splits across windows), so they serve scale,
-not replays under test.
+The shard call runs on the caller's thread.  Picking the shard and the
+sequence stamp is the only step taken under the fleet's lock, so concurrent
+callers are served concurrently (both worker types are safe for concurrent
+``predict``).
+
+Determinism contract: because each request goes whole to one shard in
+round-robin order, the sequence-stamped shard windows merge to a monitor
+*bit-identical* to a single :class:`~repro.serving.PredictionService` that
+served the same request stream.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -41,11 +40,9 @@ from repro.telemetry import (
     get_registry,
 )
 
-DISPATCH_POLICIES = ("round_robin", "least_loaded")
-
 
 class FleetService:
-    """Fan requests across shard workers; aggregate their monitors and stats.
+    """Send requests round-robin to shard workers; aggregate their monitors and stats.
 
     Parameters
     ----------
@@ -53,26 +50,13 @@ class FleetService:
         The shard workers (:class:`~repro.fleet.InlineShardWorker` /
         :class:`~repro.fleet.ProcessShardWorker`, or anything speaking their
         protocol).  The fleet owns them: ``close`` closes every worker.
-    dispatch:
-        ``"round_robin"`` (default; deterministic, the replay-proof policy)
-        or ``"least_loaded"`` (fewest in-flight parts wins, ties to the
-        lowest shard id).
-    scatter_rows:
-        ``None`` (default) dispatches each request whole to one shard —
-        required for bit-identical monitor merging, since a monitor chunk is
-        one update batch.  An integer scatters requests into row-blocks of
-        that size spread across shards (higher intra-request parallelism,
-        monitor windows chunked differently than single-service serving).
-    report_every:
-        Every N front-end requests, append a fleet report (merged monitor
-        summary + per-shard stats) to :attr:`report_history`.
     telemetry:
         Optional :class:`~repro.telemetry.MetricsRegistry` for the
         *front-end's* own metrics (``fleet.requests_total``,
-        ``fleet.request_rows``, ``fleet.request_parts``); defaults to the
-        process-wide registry.  Shard-side serving metrics live in the
-        workers' private registries and are merged — exactly, like the
-        monitors — into :meth:`fleet_report` / :meth:`telemetry_report`.
+        ``fleet.request_rows``); defaults to the process-wide registry.
+        Shard-side serving metrics live in the workers' private registries
+        and are merged — exactly, like the monitors — into
+        :meth:`fleet_report` / :meth:`telemetry_report`.
     events:
         Optional :class:`~repro.telemetry.EventLog` for the *front-end's*
         flight recorder (alarm edges and mitigation transitions are emitted
@@ -85,60 +69,35 @@ class FleetService:
         self,
         workers: Sequence,
         *,
-        dispatch: str = "round_robin",
-        scatter_rows: Optional[int] = None,
-        report_every: Optional[int] = None,
         telemetry: Optional[MetricsRegistry] = None,
         events: Optional[EventLog] = None,
     ) -> None:
         workers = list(workers)
         if not workers:
             raise FleetError("FleetService needs at least one shard worker")
-        if dispatch not in DISPATCH_POLICIES:
-            raise FleetError(
-                f"Unknown dispatch policy {dispatch!r}; choose from {DISPATCH_POLICIES}"
-            )
-        if scatter_rows is not None and scatter_rows < 1:
-            raise FleetError("scatter_rows must be a positive integer or None")
-        if report_every is not None and report_every < 1:
-            raise FleetError("report_every must be a positive integer or None")
         self.workers = workers
-        self.dispatch = dispatch
-        self.scatter_rows = scatter_rows
-        self.report_every = report_every
-        self.report_history: List[Dict[str, Any]] = []
         self.telemetry = telemetry if telemetry is not None else get_registry()
         self.events = events if events is not None else get_event_log()
         self._m_requests = self.telemetry.counter("fleet.requests_total")
         self._m_rows = self.telemetry.histogram(
             "fleet.request_rows", buckets=DEFAULT_SIZE_BUCKETS, resolution=1.0
         )
-        self._m_parts = self.telemetry.histogram(
-            "fleet.request_parts", buckets=DEFAULT_SIZE_BUCKETS, resolution=1.0
-        )
         self.n_requests = 0
         self._sequence = 0
-        self._pending = [0] * len(workers)
+        # Requests that returned or raised.  The merged-monitor cache is
+        # keyed on it, not on `_sequence`: a request is dispatched before its
+        # shard adds the batch to its window, so a read overlapping it must
+        # not be reused once it completes.
+        self._completed = 0
         self._next_worker = 0
         self._lock = threading.Lock()
-        self._executor = ThreadPoolExecutor(max_workers=max(len(workers), 1))
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop_thread: Optional[threading.Thread] = None
         self._monitor_cache: Optional[tuple] = None
         self._closed = False
 
     # ---------------------------------------------------------- dispatching
-    def _pick_worker_index(self) -> int:
-        # Caller holds self._lock.
-        if self.dispatch == "round_robin":
-            index = self._next_worker
-            self._next_worker = (self._next_worker + 1) % len(self.workers)
-            return index
-        return min(range(len(self.workers)), key=lambda i: (self._pending[i], i))
-
     @staticmethod
     def trace_id_for(sequence: int) -> str:
-        """The deterministic trace id of the micro-batch stamped ``sequence``.
+        """The deterministic trace id of the request stamped ``sequence``.
 
         Derived from the sequence stamp (not a random uuid, not a clock) so
         the same replayed stream produces the same trace ids run over run —
@@ -146,26 +105,8 @@ class FleetService:
         """
         return f"fleet-{int(sequence):06d}"
 
-    def _dispatch_one(self, index: int, X, group, y_true, sequence, trace_id) -> np.ndarray:
-        try:
-            return self.workers[index].predict(
-                X, group, y_true=y_true, sequence=sequence, trace_id=trace_id
-            )
-        finally:
-            with self._lock:
-                self._pending[index] -= 1
-
-    async def predict_async(self, X, group=None, *, y_true=None) -> np.ndarray:
-        """Serve one request; parts run concurrently, the response is ordered.
-
-        The returned predictions line up with the request rows even when
-        scattered parts complete out of order: results are gathered in
-        dispatch order, never completion order.
-        """
-        if self._closed:
-            raise ValidationError(
-                "FleetService is closed; predictions after close() are not served"
-            )
+    def predict(self, X, group=None, *, y_true=None) -> np.ndarray:
+        """Serve one request on the next shard, on the caller's thread."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X.reshape(1, -1)
@@ -177,87 +118,51 @@ class FleetService:
             y_true = np.asarray(y_true).ravel()
             if y_true.shape[0] != X.shape[0]:
                 raise ValidationError("X and y_true must have the same number of rows")
-
-        n = X.shape[0]
-        block = n if self.scatter_rows is None else int(self.scatter_rows)
-        slices = [slice(i, min(i + block, n)) for i in range(0, max(n, 1), max(block, 1))]
-        assignments = []
-        with self._lock:
-            for part in slices:
-                index = self._pick_worker_index()
-                self._pending[index] += 1
-                assignments.append((index, part, self._sequence))
-                self._sequence += 1
-            self.n_requests += 1
-            n_requests = self.n_requests
-        if self.telemetry.enabled:
-            self._m_requests.inc()
-            self._m_rows.observe(n)
-            self._m_parts.observe(len(assignments))
-        loop = asyncio.get_running_loop()
-        tasks = [
-            loop.run_in_executor(
-                self._executor,
-                self._dispatch_one,
-                index,
-                X[part],
-                group[part] if group is not None else None,
-                y_true[part] if y_true is not None else None,
-                sequence,
-                self.trace_id_for(sequence),
-            )
-            for index, part, sequence in assignments
-        ]
-        chunks = await asyncio.gather(*tasks)
-        predictions = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        if self.report_every is not None and n_requests % self.report_every == 0:
-            self.report_history.append(self.fleet_report())
-        return predictions
-
-    def predict(self, X, group=None, *, y_true=None) -> np.ndarray:
-        """Synchronous facade over :meth:`predict_async`.
-
-        Runs the coroutine on the fleet's background event loop, so sync
-        callers (the replay harness, the CLI) and async callers share one
-        code path and one ordering/sequencing discipline.
-        """
-        loop = self._ensure_loop()
-        future = asyncio.run_coroutine_threadsafe(
-            self.predict_async(X, group, y_true=y_true), loop
-        )
-        return future.result()
-
-    def _ensure_loop(self) -> asyncio.AbstractEventLoop:
         with self._lock:
             if self._closed:
-                raise ValidationError("FleetService is closed")
-            if self._loop is None:
-                loop = asyncio.new_event_loop()
-                thread = threading.Thread(
-                    target=loop.run_forever, name="fleet-service-loop", daemon=True
+                raise ValidationError(
+                    "FleetService is closed; predictions after close() are not served"
                 )
-                thread.start()
-                self._loop, self._loop_thread = loop, thread
-            return self._loop
+            worker = self.workers[self._next_worker]
+            self._next_worker = (self._next_worker + 1) % len(self.workers)
+            sequence = self._sequence
+            self._sequence += 1
+            self.n_requests += 1
+        if self.telemetry.enabled:
+            self._m_requests.inc()
+            self._m_rows.observe(X.shape[0])
+        try:
+            return worker.predict(
+                X, group, y_true=y_true, sequence=sequence, trace_id=self.trace_id_for(sequence)
+            )
+        finally:
+            with self._lock:
+                self._completed += 1
+
+    async def predict_async(self, X, group=None, *, y_true=None) -> np.ndarray:
+        """:meth:`predict` for asyncio callers, run on the default executor."""
+        return await asyncio.to_thread(self.predict, X, group, y_true=y_true)
 
     # ----------------------------------------------------------- aggregation
     def snapshots(self):
         """One :class:`~repro.fleet.ShardSnapshot` per shard, in shard order."""
         return [worker.snapshot() for worker in self.workers]
 
-    @property
-    def monitor(self) -> Optional[FairnessMonitor]:
-        """The shards' monitor windows merged into the union-stream monitor.
+    def _cached_monitor(self):
+        """``(completed, cached merged monitor or None)``, read under the lock.
 
-        Merged lazily and cached per sequence point: repeated reads between
-        requests (a replay step reads statuses then the summary) reuse one
-        merge.  ``None`` when no shard carries a monitor.
+        Take the snapshots to merge only after this read: a monitor cached
+        under ``completed`` then holds every request completed by then.
         """
         with self._lock:
-            sequence = self._sequence
-            cached = self._monitor_cache
-        if cached is not None and cached[0] == sequence:
-            return cached[1]
+            completed, cached = self._completed, self._monitor_cache
+        if cached is not None and cached[0] == completed:
+            return completed, cached[1]
+        return completed, None
+
+    def _merge(self, completed: int, snapshots=None) -> Optional[FairnessMonitor]:
+        """Merge the shard windows of ``snapshots`` (taken now when ``None``)
+        and cache the result under ``completed``."""
         template = None
         for worker in self.workers:
             template = worker.monitor_template()
@@ -265,9 +170,11 @@ class FleetService:
                 break
         if template is None:
             return None
+        if snapshots is None:
+            snapshots = self.snapshots()
         states = [
             snapshot.monitor_state
-            for snapshot in self.snapshots()
+            for snapshot in snapshots
             if snapshot.monitor_state is not None
         ]
         if not states:
@@ -277,32 +184,53 @@ class FleetService:
         )
         merged = template.load_state_dict(merged_state)
         with self._lock:
-            self._monitor_cache = (sequence, merged)
+            self._monitor_cache = (completed, merged)
         return merged
 
     @property
+    def monitor(self) -> Optional[FairnessMonitor]:
+        """The shards' monitor windows merged into the union-stream monitor.
+
+        Merged lazily and cached until the next request completes: repeated
+        reads between requests (a replay step reads statuses then the
+        summary) reuse one merge.  ``None`` when no shard carries a monitor.
+        """
+        completed, merged = self._cached_monitor()
+        if merged is not None:
+            return merged
+        return self._merge(completed)
+
+    @staticmethod
+    def _total_stats(snapshots) -> ServiceStats:
+        return ServiceStats(
+            sum(snapshot.stats.n_requests for snapshot in snapshots),
+            sum(snapshot.stats.n_records for snapshot in snapshots),
+            sum(snapshot.stats.total_seconds for snapshot in snapshots),
+        )
+
+    @property
     def stats(self) -> ServiceStats:
-        """Aggregated shard stats (requests here are dispatched parts)."""
-        total = ServiceStats()
-        for snapshot in self.snapshots():
-            total.n_requests += snapshot.stats.n_requests
-            total.n_records += snapshot.stats.n_records
-            total.total_seconds += snapshot.stats.total_seconds
-        return total
+        """Aggregated shard stats."""
+        return self._total_stats(self.snapshots())
 
     def fleet_report(self) -> Dict[str, Any]:
         """One fleet-level report: merged window view plus per-shard stats.
 
-        Every shard entry carries its ``cold_start_seconds`` and the
-        ``mmap_cache`` hit/miss outcome of its artifact load.  When the
-        shards record telemetry, each entry additionally reports its
-        request-latency quantiles, and the report gains a ``telemetry``
-        section whose ``merged`` view folds the per-shard histograms
-        together exactly (integer sufficient statistics — bit-identical to
-        one service observing the union stream).
+        Every shard is snapshotted once; the merged window comes from the
+        same snapshots (or from the cache, when no request has completed
+        since the last merge).  Every shard entry carries its
+        ``cold_start_seconds`` and the ``mmap_cache`` hit/miss outcome of its
+        artifact load.  When the shards record telemetry, each entry
+        additionally reports its request-latency quantiles, and the report
+        gains a ``telemetry`` section whose ``merged`` view folds the
+        per-shard histograms together exactly (integer sufficient
+        statistics — bit-identical to one service observing the union
+        stream).
         """
+        completed, merged = self._cached_monitor()
         snapshots = self.snapshots()
-        merged = self.monitor
+        if merged is None:
+            merged = self._merge(completed, snapshots)
         shard_exports: Dict[int, Dict[str, Any]] = {
             snapshot.shard_id: MetricsRegistry.export_state(snapshot.telemetry_state)
             for snapshot in snapshots
@@ -324,19 +252,14 @@ class FleetService:
                 if latency is not None:
                     entry["latency_quantiles"] = latency["quantiles"]
             shards.append(entry)
+        total = self._total_stats(snapshots)
         report: Dict[str, Any] = {
             "n_shards": len(self.workers),
-            "dispatch": self.dispatch,
             "n_requests": self.n_requests,
             "shards": shards,
+            "n_records": total.n_records,
+            "records_per_second": round(total.records_per_second, 1),
         }
-        total = ServiceStats()
-        for snapshot in snapshots:
-            total.n_requests += snapshot.stats.n_requests
-            total.n_records += snapshot.stats.n_records
-            total.total_seconds += snapshot.stats.total_seconds
-        report["n_records"] = total.n_records
-        report["records_per_second"] = round(total.records_per_second, 1)
         if shard_exports:
             states = [
                 snapshot.telemetry_state
@@ -454,19 +377,11 @@ class FleetService:
         return any(bool(getattr(worker, "requires_group", False)) for worker in self.workers)
 
     def close(self) -> None:
-        """Stop the loop, shut the executor down, close every worker."""
+        """Refuse further requests and close every worker (idempotent)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            loop, self._loop = self._loop, None
-            thread, self._loop_thread = self._loop_thread, None
-        if loop is not None:
-            loop.call_soon_threadsafe(loop.stop)
-            if thread is not None:
-                thread.join(timeout=10.0)
-            loop.close()
-        self._executor.shutdown(wait=True)
         for worker in self.workers:
             worker.close()
 

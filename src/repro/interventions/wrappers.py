@@ -8,9 +8,9 @@ paper's figures use.  The underlying estimators in :mod:`repro.core` and
 usable.
 
 Registration order matters: it defines the canonical order of
-``METHOD_NAMES`` (``none``, ``multimodel``, ``diffair``, ``diffair0``,
-``confair``, ``confair0``, ``kam``, ``omn``, ``cap``), matching the paper's
-figures.  The ``*0`` names are the Fig. 13 ablation variants that share their
+:func:`~repro.interventions.available_interventions` (``none``,
+``multimodel``, ``diffair``, ``diffair0``, ``confair``, ``confair0``,
+``kam``, ``omn``, ``cap``), matching the paper's figures.  The ``*0`` names are the Fig. 13 ablation variants that share their
 class with the full method but preset ``use_density_filter=False``.
 
 Defaults note: where a wrapper exposes a search grid (``tuning_grid``,

@@ -23,7 +23,7 @@ attribute at prediction time):
   response half of the loop (see *Closing the loop* below), plus
   :func:`calibrate_thresholds` for data-driven alarm thresholds;
 * :mod:`repro.serving.cli` — the ``repro-serve`` command
-  (``fit``/``save``/``score``/``serve``), also ``python -m repro.serve``.
+  (``fit``/``save``/``score``/``serve``), also ``python -m repro.serving.cli``.
 
 Closing the loop
 ----------------
@@ -96,9 +96,9 @@ is O(manifest) rather than O(weights), per-shard monitors stay mergeable —
 :meth:`FairnessMonitor.merge` folds their ``state_dict``s into the exact
 state one monitor would hold after observing the union stream (chunks carry
 monotone sequence stamps, so the merge is associative, order-invariant, and
-bit-identical) — and :class:`~repro.fleet.FleetService` fans micro-batches
-out to the shards while aggregating their :class:`ServiceStats` and merged
-windowed report.  Everything here stays valid per shard; the fleet layer
+bit-identical) — and :class:`~repro.fleet.FleetService` sends requests
+round-robin to the shards while aggregating their :class:`ServiceStats` and
+merged windowed report.  Everything here stays valid per shard; the fleet layer
 only adds dispatch and aggregation on top.
 
 Quickstart::

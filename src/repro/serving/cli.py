@@ -16,7 +16,7 @@ offline fairness report; ``serve`` pushes batched traffic through a
 :class:`~repro.serving.FairnessMonitor` and reports throughput, windowed
 fairness, and drift state.
 
-Also available as ``python -m repro.serve``.
+Also available as ``python -m repro.serving.cli``.
 """
 
 from __future__ import annotations

@@ -207,14 +207,14 @@ def calibrate_thresholds(
     ThresholdCalibration
         Carrying the calibrated :class:`MonitorThresholds` — construct the
         production monitor with ``FairnessMonitor(thresholds=...)`` (the
-        object round-trips through ``state_dict`` and artifacts, and drives
-        a monitor bit-identical to the equivalent flat-kwargs spelling).
+        object round-trips through ``state_dict`` and artifacts).
     """
     if not 0.0 <= target_false_alarm_rate < 1.0:
         raise ValidationError("target_false_alarm_rate must be in [0, 1)")
     base = monitor.baselines
     probe = monitor.config_clone()
     probe.set_baselines(base)
+    min_samples = probe.thresholds.min_samples
 
     # Per eligible step, the raw statistic each active channel would compare
     # against its threshold: windowed mean violation, log-density drop,
@@ -229,15 +229,15 @@ def calibrate_thresholds(
         stats: Dict[str, float] = {}
         if probe.profile is not None and base.violation is not None:
             status = probe.drift_status()
-            if status.n_scored >= probe.min_samples:
+            if status.n_scored >= min_samples:
                 stats["conformance"] = status.mean_violation
         if probe.density_estimator is not None and base.log_density is not None:
             status = probe.density_status()
-            if status.n_scored >= probe.min_samples and status.drop is not None:
+            if status.n_scored >= min_samples and status.drop is not None:
                 stats["density"] = status.drop
         if base.group_fraction is not None:
             status = probe.group_status()
-            if status.n_scored >= probe.min_samples and status.shift is not None:
+            if status.n_scored >= min_samples and status.shift is not None:
                 stats["group"] = status.shift
         if stats:
             observed.append(stats)

@@ -27,7 +27,7 @@ both halves of that framing for a live service:
 * **group-prevalence drift** (optional) — a prevalence shift moves the group
   *mix* of the traffic while every individual tuple stays perfectly
   conformant, so neither per-tuple channel can see it; once
-  :meth:`FairnessMonitor.set_group_baseline` fixes the training-time minority
+  :meth:`FairnessMonitor.set_baselines` fixes the training-time minority
   fraction, the windowed minority fraction is compared against it and
   :meth:`FairnessMonitor.group_status` flags mixes that moved beyond the
   tolerance.
@@ -59,7 +59,6 @@ same state.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Deque, Dict, Optional, Sequence, Tuple
@@ -137,8 +136,7 @@ class GroupShiftStatus:
 class MonitorThresholds:
     """The monitor's alarm thresholds as one validated, immutable config object.
 
-    This is the canonical spelling of what used to be five loose keyword
-    arguments on :class:`FairnessMonitor` — and the value
+    This is how :class:`FairnessMonitor` takes its thresholds, and the value
     :func:`repro.serving.mitigation.calibrate_thresholds` returns, so a
     calibrated configuration can be passed around, persisted in artifacts,
     and handed to ``FairnessMonitor(thresholds=...)`` as a single object.
@@ -261,14 +259,8 @@ class FairnessMonitor(BaseEstimator):
         profile's constraints (or the density estimator) expect.
     thresholds:
         The alarm thresholds as one :class:`MonitorThresholds` config object
-        — the canonical spelling, and what
+        (defaults when ``None``) — what
         :func:`repro.serving.mitigation.calibrate_thresholds` returns.
-    drift_factor, min_violation, min_samples, density_drop, group_tolerance:
-        **Deprecated** flat spelling of the same thresholds; equivalent to
-        passing ``thresholds=MonitorThresholds(...)``.  Passing both
-        spellings is accepted only when they agree (clones and artifact
-        round trips do this); a disagreement raises
-        :class:`~repro.exceptions.ValidationError`.
     """
 
     def __init__(
@@ -279,11 +271,6 @@ class FairnessMonitor(BaseEstimator):
         density_estimator: Optional[KernelDensity] = None,
         n_numeric_features: Optional[int] = None,
         thresholds: Optional[MonitorThresholds] = None,
-        drift_factor: Optional[float] = None,
-        min_violation: Optional[float] = None,
-        min_samples: Optional[int] = None,
-        density_drop: Optional[float] = None,
-        group_tolerance: Optional[float] = None,
     ) -> None:
         if window_size < 1:
             raise ValidationError("window_size must be at least 1")
@@ -291,43 +278,18 @@ class FairnessMonitor(BaseEstimator):
             raise ValidationError(
                 "density_estimator must be a fitted KernelDensity (call fit() first)"
             )
-        flat = {
-            "drift_factor": drift_factor,
-            "min_violation": min_violation,
-            "min_samples": min_samples,
-            "density_drop": density_drop,
-            "group_tolerance": group_tolerance,
-        }
-        provided = {key: value for key, value in flat.items() if value is not None}
         if thresholds is None:
-            if provided:
-                warnings.warn(
-                    "Passing flat threshold kwargs to FairnessMonitor is "
-                    "deprecated; pass thresholds=MonitorThresholds(...) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            resolved = MonitorThresholds(**provided)
-        else:
-            if not isinstance(thresholds, MonitorThresholds):
-                raise ValidationError(
-                    "thresholds must be a MonitorThresholds instance, got "
-                    f"{type(thresholds).__name__}"
-                )
-            resolved = thresholds
-            for key, value in provided.items():
-                coerced = int(value) if key == "min_samples" else float(value)
-                if coerced != getattr(resolved, key):
-                    raise ValidationError(
-                        f"ambiguous monitor configuration: thresholds.{key}="
-                        f"{getattr(resolved, key)!r} but the flat kwarg {key}="
-                        f"{value!r} disagrees; pass a single spelling"
-                    )
+            thresholds = MonitorThresholds()
+        elif not isinstance(thresholds, MonitorThresholds):
+            raise ValidationError(
+                "thresholds must be a MonitorThresholds instance, got "
+                f"{type(thresholds).__name__}"
+            )
         self.window_size = int(window_size)
         self.profile = profile
         self.density_estimator = density_estimator
         self.n_numeric_features = n_numeric_features
-        self._apply_thresholds(resolved)
+        self.thresholds = thresholds
 
         # Per retained batch: (counts, batch size, violation sum, violation
         # rows, log-density sum, log-density rows, sequence number).  The
@@ -352,20 +314,6 @@ class FairnessMonitor(BaseEstimator):
         self._baseline_log_density: Optional[float] = None
         self._baseline_group_fraction: Optional[float] = None
         self.n_seen = 0
-
-    def _apply_thresholds(self, thresholds: MonitorThresholds) -> None:
-        """Install a threshold config, mirroring it onto the flat attributes.
-
-        The flat attributes stay the internal (and ``merge``-compared)
-        representation so existing readers keep working; ``self.thresholds``
-        is the canonical config object they mirror.
-        """
-        self.thresholds = thresholds
-        self.drift_factor = thresholds.drift_factor
-        self.min_violation = thresholds.min_violation
-        self.min_samples = thresholds.min_samples
-        self.density_drop = thresholds.density_drop
-        self.group_tolerance = thresholds.group_tolerance
 
     # ----------------------------------------------------------- updating
     def update(self, y_pred, group=None, *, y_true=None, X=None, sequence=None) -> int:
@@ -587,47 +535,6 @@ class FairnessMonitor(BaseEstimator):
             group_fraction=self._baseline_group_fraction,
         )
 
-    def set_drift_baseline(self, X) -> float:
-        """Deprecated: use :meth:`set_baselines` ``(violation=X)``.
-
-        ``X`` is typically the fit-time feature matrix; a scalar is accepted
-        as a precomputed baseline (so suite runners can score the training
-        data once and share the number across many fresh monitors).
-        """
-        warnings.warn(
-            "set_drift_baseline is deprecated; use "
-            "FairnessMonitor.set_baselines(violation=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        baseline = self._resolve_drift_baseline(X)
-        self._baseline_violation = baseline
-        return baseline
-
-    def set_density_baseline(self, X) -> float:
-        """Deprecated: use :meth:`set_baselines` ``(log_density=X)``."""
-        warnings.warn(
-            "set_density_baseline is deprecated; use "
-            "FairnessMonitor.set_baselines(log_density=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        baseline = self._resolve_density_baseline(X)
-        self._baseline_log_density = baseline
-        return baseline
-
-    def set_group_baseline(self, group_or_fraction) -> float:
-        """Deprecated: use :meth:`set_baselines` ``(group_fraction=...)``."""
-        warnings.warn(
-            "set_group_baseline is deprecated; use "
-            "FairnessMonitor.set_baselines(group_fraction=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        baseline = self._resolve_group_baseline(group_or_fraction)
-        self._baseline_group_fraction = baseline
-        return baseline
-
     @property
     def group_baseline_fraction(self) -> Optional[float]:
         """The fixed baseline minority fraction (``None`` until set)."""
@@ -662,8 +569,9 @@ class FairnessMonitor(BaseEstimator):
             ratio: Optional[float] = mean / baseline
         else:
             ratio = float("inf") if mean > 0 else 1.0
-        threshold = max(self.drift_factor * baseline, self.min_violation)
-        alarm = n >= self.min_samples and mean > threshold
+        thresholds = self.thresholds
+        threshold = max(thresholds.drift_factor * baseline, thresholds.min_violation)
+        alarm = n >= thresholds.min_samples and mean > threshold
         return DriftStatus(n, mean, baseline, ratio, alarm)
 
     def density_status(self) -> DensityDriftStatus:
@@ -675,7 +583,7 @@ class FairnessMonitor(BaseEstimator):
         if baseline is None:
             return DensityDriftStatus(n, mean, None, None, False)
         drop = baseline - mean
-        alarm = n >= self.min_samples and drop > self.density_drop
+        alarm = n >= self.thresholds.min_samples and drop > self.thresholds.density_drop
         return DensityDriftStatus(n, mean, baseline, drop, alarm)
 
     def group_status(self) -> GroupShiftStatus:
@@ -691,7 +599,7 @@ class FairnessMonitor(BaseEstimator):
         if baseline is None:
             return GroupShiftStatus(n, fraction, None, None, False)
         shift = abs(fraction - baseline)
-        alarm = n >= self.min_samples and shift > self.group_tolerance
+        alarm = n >= self.thresholds.min_samples and shift > self.thresholds.group_tolerance
         return GroupShiftStatus(n, fraction, baseline, shift, alarm)
 
     @property
@@ -719,6 +627,7 @@ class FairnessMonitor(BaseEstimator):
         scalar or a flat dict of them, so the report rides event-log records
         and mitigation audit trails verbatim.
         """
+        thresholds = self.thresholds
         channels: Dict[str, Dict[str, Any]] = {}
         if self.profile is not None:
             drift = self.drift_status()
@@ -727,7 +636,8 @@ class FairnessMonitor(BaseEstimator):
                 margin: Optional[float] = None
             else:
                 threshold = max(
-                    self.drift_factor * drift.baseline_violation, self.min_violation
+                    thresholds.drift_factor * drift.baseline_violation,
+                    thresholds.min_violation,
                 )
                 margin = drift.mean_violation - threshold
             channels["conformance"] = {
@@ -745,8 +655,8 @@ class FairnessMonitor(BaseEstimator):
                 threshold = None
                 margin = None
             else:
-                threshold = density.baseline_log_density - self.density_drop
-                margin = (density.drop or 0.0) - self.density_drop
+                threshold = density.baseline_log_density - thresholds.density_drop
+                margin = (density.drop or 0.0) - thresholds.density_drop
             channels["density"] = {
                 "statistic": density.mean_log_density,
                 "baseline": density.baseline_log_density,
@@ -761,8 +671,8 @@ class FairnessMonitor(BaseEstimator):
             channels["group"] = {
                 "statistic": group.minority_fraction,
                 "baseline": group.baseline_fraction,
-                "threshold": self.group_tolerance,
-                "margin": (group.shift or 0.0) - self.group_tolerance,
+                "threshold": thresholds.group_tolerance,
+                "margin": (group.shift or 0.0) - thresholds.group_tolerance,
                 "shift": group.shift,
                 "alarm": group.alarm,
                 "n_scored": group.n_scored,
@@ -779,7 +689,7 @@ class FairnessMonitor(BaseEstimator):
         return {
             "n_seen": self.n_seen,
             "n_window": self._window_rows,
-            "min_samples": self.min_samples,
+            "min_samples": thresholds.min_samples,
             "last_sequence": self.last_sequence,
             "window_sequence_min": min(sequences) if sequences else None,
             "window_sequence_max": max(sequences) if sequences else None,
@@ -951,7 +861,7 @@ class FairnessMonitor(BaseEstimator):
         self._log_density_rows = int(state["log_density_rows_"])
         self._next_sequence = int(state["next_sequence_"])
         self._evicted_through = int(state["evicted_through_"])
-        self._apply_thresholds(MonitorThresholds.from_dict(dict(state["thresholds_"])))
+        self.thresholds = MonitorThresholds.from_dict(dict(state["thresholds_"]))
         for attribute, key in (
             ("_baseline_violation", "baseline_violation_"),
             ("_baseline_log_density", "baseline_log_density_"),
@@ -1095,15 +1005,7 @@ class FairnessMonitor(BaseEstimator):
         if not monitors:
             raise ValidationError("merge needs at least one monitor")
         first = monitors[0]
-        scalar_keys = (
-            "window_size",
-            "drift_factor",
-            "min_violation",
-            "min_samples",
-            "density_drop",
-            "group_tolerance",
-            "n_numeric_features",
-        )
+        scalar_keys = ("window_size", "thresholds", "n_numeric_features")
         for other in monitors[1:]:
             if not isinstance(other, FairnessMonitor):
                 raise ValidationError(

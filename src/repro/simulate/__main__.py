@@ -1,7 +1,7 @@
 """``python -m repro.simulate`` — command-line entry to the scenario engine.
 
 Thin alias for :mod:`repro.simulate.cli` (the ``repro-simulate`` console
-script), mirroring ``python -m repro.serve``.
+script).
 """
 
 from repro.simulate.cli import main

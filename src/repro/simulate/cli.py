@@ -42,6 +42,7 @@ from repro.interventions import FairnessPipeline, available_interventions
 from repro.serving.artifacts import load_artifact, save_artifact
 from repro.serving.cli import emit_json, find_profile, parse_params
 from repro.serving.mitigation import save_audit_trail
+from repro.serving.monitor import MonitorThresholds
 from repro.simulate.registry import available_scenarios, describe_scenarios, make_scenario
 from repro.simulate.replay import ReplayHarness
 from repro.simulate.stream import TrafficStream
@@ -117,7 +118,7 @@ def _make_runner(args, loaded, split) -> SuiteRunner:
         density_estimator=density_estimator,
         calibration=split.validation,
         window_size=args.window,
-        group_tolerance=args.group_tolerance,
+        thresholds=MonitorThresholds(group_tolerance=args.group_tolerance),
         service_batch_size=args.batch_size,
         max_workers=args.workers,
         intervention=args.intervention,

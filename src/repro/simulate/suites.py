@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.datasets.table import Dataset
 from repro.density.kde import KernelDensity
-from repro.exceptions import SimulationError, ValidationError
+from repro.exceptions import SimulationError
 from repro.serving.mitigation import (
     MitigationController,
     ThresholdCalibration,
@@ -134,11 +134,8 @@ class SuiteRunner:
         Monitor window shared by every scenario.
     thresholds:
         Optional :class:`~repro.serving.MonitorThresholds` shared by every
-        scenario's monitor (derive one with :meth:`calibrate`).
-    group_tolerance, min_samples:
-        Deprecated flat spelling of the corresponding ``thresholds`` fields;
-        accepted for compatibility but mutually exclusive with
-        ``thresholds``.
+        scenario's monitor (derive one with :meth:`calibrate`); defaults to
+        ``MonitorThresholds()``.
     service_batch_size, max_workers:
         Micro-batching of the underlying service.
     intervention, learner, intervention_params, fit_n_jobs:
@@ -161,8 +158,6 @@ class SuiteRunner:
         calibration: Optional[Dataset] = None,
         window_size: int = 2000,
         thresholds: Optional[MonitorThresholds] = None,
-        group_tolerance: Optional[float] = None,
-        min_samples: Optional[int] = None,
         service_batch_size: int = 512,
         max_workers: Optional[int] = None,
         intervention: str = "confair",
@@ -176,17 +171,7 @@ class SuiteRunner:
         self.profile = profile
         self.density_estimator = density_estimator
         self.window_size = int(window_size)
-        if thresholds is None:
-            thresholds = MonitorThresholds(
-                group_tolerance=0.15 if group_tolerance is None else float(group_tolerance),
-                min_samples=50 if min_samples is None else int(min_samples),
-            )
-        elif group_tolerance is not None or min_samples is not None:
-            raise ValidationError(
-                "pass monitor configuration either as thresholds= or as the "
-                "deprecated flat group_tolerance/min_samples, not both"
-            )
-        self.thresholds = thresholds
+        self.thresholds = thresholds if thresholds is not None else MonitorThresholds()
         self.service_batch_size = int(service_batch_size)
         self.max_workers = max_workers
         self.intervention = intervention
@@ -209,15 +194,6 @@ class SuiteRunner:
         """The shared reference points every scenario's monitor starts from."""
         return self._baselines
 
-    # Deprecated flat mirrors (pre-MonitorThresholds spelling).
-    @property
-    def group_tolerance(self) -> float:
-        return self.thresholds.group_tolerance
-
-    @property
-    def min_samples(self) -> int:
-        return self.thresholds.min_samples
-
     def _fresh_monitor(self) -> FairnessMonitor:
         return FairnessMonitor(
             window_size=self.window_size,
@@ -231,9 +207,6 @@ class SuiteRunner:
         monitor = self._fresh_monitor()
         monitor.set_baselines(self._baselines)
         return monitor
-
-    # Kept as an alias: fleet tooling and older scripts call the private name.
-    _baseline_monitor = make_monitor
 
     def calibrate(
         self,
@@ -337,7 +310,7 @@ class SuiteRunner:
                     self.model,
                     batch_size=self.service_batch_size,
                     max_workers=self.max_workers,
-                    monitor=self._baseline_monitor(),
+                    monitor=self.make_monitor(),
                     telemetry=MetricsRegistry(enabled=telemetry_enabled()),
                     events=EventLog(enabled=events_enabled()),
                     shard_id=shard_id,

@@ -1,4 +1,5 @@
-"""Unit tests for the experiment harness (runner, aggregation, reporting, config)."""
+"""Unit tests for the experiment harness (one cell through the pipeline,
+aggregation, reporting, config)."""
 
 import numpy as np
 import pytest
@@ -6,15 +7,13 @@ import pytest
 from repro.datasets import load_dataset, split_dataset
 from repro.exceptions import ExperimentError
 from repro.experiments import (
-    METHOD_NAMES,
     ExperimentConfig,
     FigureResult,
     aggregate_cells,
-    evaluate_cell,
     render_table,
     run_figure02,
-    run_method,
 )
+from repro.interventions import FairnessPipeline, available_interventions
 
 
 @pytest.fixture(scope="module")
@@ -23,66 +22,67 @@ def tiny_split():
     return split_dataset(data, random_state=5)
 
 
+def run_cell(method, split, *, calibration_learner=None, **params):
+    """One deploy-set cell: ``(predictions, details)``."""
+    result = FairnessPipeline(
+        intervention=method,
+        learner="lr",
+        dataset=split,
+        calibration_learner=calibration_learner,
+        seed=0,
+        intervention_params=params,
+    ).run()
+    return result.predictions, result.details
+
+
 class TestRunMethod:
     @pytest.mark.parametrize("method", ["none", "multimodel", "kam", "cap"])
     def test_simple_methods_produce_predictions(self, tiny_split, method):
-        predictions, details = run_method(method, tiny_split, learner="lr", seed=0)
+        predictions, details = run_cell(method, tiny_split)
         assert predictions.shape[0] == tiny_split.deploy.n_samples
         assert set(np.unique(predictions)) <= {0, 1}
         assert isinstance(details, dict)
 
     def test_confair_with_fixed_alpha(self, tiny_split):
-        predictions, details = run_method("confair", tiny_split, learner="lr", seed=0, alpha_u=1.0)
+        predictions, details = run_cell("confair", tiny_split, alpha_u=1.0)
         assert details["alpha_u"] == 1.0
         assert predictions.shape[0] == tiny_split.deploy.n_samples
 
     def test_confair_auto_tuning_records_alpha(self, tiny_split):
-        _, details = run_method(
-            "confair", tiny_split, learner="lr", seed=0, tuning_grid=(0.0, 1.0)
-        )
+        _, details = run_cell("confair", tiny_split, tuning_grid=(0.0, 1.0))
         assert details["alpha_u"] in (0.0, 1.0)
 
     def test_omn_with_fixed_lambda(self, tiny_split):
-        _, details = run_method("omn", tiny_split, learner="lr", seed=0, lam=0.5)
+        _, details = run_cell("omn", tiny_split, lam=0.5)
         assert details["lambda"] == 0.5
 
     def test_diffair_reports_routing_fraction(self, tiny_split):
-        _, details = run_method("diffair", tiny_split, learner="lr", seed=0)
+        _, details = run_cell("diffair", tiny_split)
         assert 0.0 <= details["minority_model_fraction"] <= 1.0
 
     def test_cross_model_calibration(self, tiny_split):
-        predictions, _ = run_method(
-            "confair",
-            tiny_split,
-            learner="lr",
-            seed=0,
-            alpha_u=1.0,
-            calibration_learner="xgb",
+        predictions, _ = run_cell(
+            "confair", tiny_split, alpha_u=1.0, calibration_learner="xgb"
         )
         assert predictions.shape[0] == tiny_split.deploy.n_samples
 
     def test_unknown_method(self, tiny_split):
         with pytest.raises(ExperimentError):
-            run_method("magic", tiny_split)
+            run_cell("magic", tiny_split)
 
     def test_method_names_exposed(self):
-        assert "confair" in METHOD_NAMES and "diffair0" in METHOD_NAMES
-
-    def test_run_method_is_deprecated(self, tiny_split):
-        with pytest.warns(DeprecationWarning, match="FairnessPipeline"):
-            run_method("none", tiny_split, learner="lr", seed=0)
+        methods = available_interventions()
+        assert "confair" in methods and "diffair0" in methods
 
 
 class TestEvaluateAndAggregate:
     def test_evaluate_cell_fields(self):
-        cell = evaluate_cell("lsac", "none", learner="lr", seed=1, size_factor=0.03)
+        cell = FairnessPipeline(
+            intervention="none", learner="lr", dataset="lsac", size_factor=0.03, seed=1
+        ).run()
         assert cell.dataset == "lsac"
         assert cell.runtime_seconds > 0
         assert 0.0 <= cell.report.balanced_accuracy <= 1.0
-
-    def test_evaluate_cell_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="FairnessPipeline"):
-            evaluate_cell("lsac", "none", learner="lr", seed=1, size_factor=0.03)
 
     def test_aggregate_cells_averages_over_seeds(self):
         aggregated = aggregate_cells(

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
-from repro.serving import FairnessMonitor
+from repro.serving import FairnessMonitor, MonitorThresholds
 
 SETTINGS = settings(
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -26,8 +26,11 @@ SETTINGS = settings(
 
 
 def make_monitor(window_size=180) -> FairnessMonitor:
-    monitor = FairnessMonitor(window_size=window_size, min_samples=20, group_tolerance=0.2)
-    monitor.set_group_baseline(0.3)
+    monitor = FairnessMonitor(
+        window_size=window_size,
+        thresholds=MonitorThresholds(min_samples=20, group_tolerance=0.2),
+    )
+    monitor.set_baselines(group_fraction=0.3)
     return monitor
 
 
@@ -182,7 +185,7 @@ class TestMergeValidation:
 
     def test_mismatched_baseline_rejected(self):
         a, b = make_monitor(), make_monitor()
-        b.set_group_baseline(0.9)
+        b.set_baselines(group_fraction=0.9)
         with pytest.raises(ValidationError, match="baseline"):
             FairnessMonitor.merge(a, b)
 

@@ -16,7 +16,7 @@ from repro.datasets import make_drifted_groups, split_dataset
 from repro.fleet import compare_sharded_replay, diff_replay_results
 from repro.fleet.service import FleetService
 from repro.interventions import FairnessPipeline
-from repro.serving import PredictionService
+from repro.serving import MonitorThresholds, PredictionService
 from repro.serving.cli import find_profile
 from repro.simulate import SuiteRunner, make_scenario
 from repro.simulate.replay import ReplayHarness
@@ -42,7 +42,7 @@ def runner():
         profile=find_profile(result),
         calibration=SPLIT.validation,
         window_size=900,
-        min_samples=40,
+        thresholds=MonitorThresholds(min_samples=40),
     )
 
 

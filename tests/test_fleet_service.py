@@ -1,16 +1,17 @@
 """Fleet front-end and shard-worker tests.
 
-Covers the :class:`FleetService` dispatch/aggregation contract (ordering
-preserved, round-robin determinism, merged monitor == union stream, stats
-summed, report cadence), the process-backed workers (mmap cold start,
-snapshot over the pipe, error and lifecycle handling), and the
-``repro-fleet`` CLI surface.
+Covers the :class:`FleetService` dispatch/aggregation contract (round-robin
+determinism, merged monitor == union stream and never stale after a request
+completes, stats summed, one snapshot per shard per report), the
+process-backed workers (mmap cold start, snapshot over the pipe, error and
+lifecycle handling), and the ``repro-fleet`` CLI surface.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from repro.fleet import (
 )
 from repro.fleet.cli import main as fleet_main
 from repro.interventions import FairnessPipeline
-from repro.serving import FairnessMonitor, PredictionService, save_artifact
+from repro.serving import FairnessMonitor, MonitorThresholds, PredictionService, save_artifact
 
 SPLIT = split_dataset(
     make_drifted_groups(
@@ -47,21 +48,47 @@ def fitted(tmp_path_factory):
 
 def make_monitor() -> FairnessMonitor:
     monitor = FairnessMonitor(
-        window_size=400, profile=profile_partitions(SPLIT.train), min_samples=30
+        window_size=400,
+        profile=profile_partitions(SPLIT.train),
+        thresholds=MonitorThresholds(min_samples=30),
     )
-    monitor.set_drift_baseline(SPLIT.train.X)
-    monitor.set_group_baseline(SPLIT.train.group)
+    monitor.set_baselines(violation=SPLIT.train.X, group_fraction=SPLIT.train.group)
     return monitor
 
 
-def make_fleet(result, n_shards, **kwargs) -> FleetService:
-    workers = [
-        InlineShardWorker(
-            PredictionService(result.model, monitor=make_monitor()), shard_id=i
-        )
-        for i in range(n_shards)
-    ]
-    return FleetService(workers, **kwargs)
+def make_inline_worker(result, shard_id=0) -> InlineShardWorker:
+    return InlineShardWorker(
+        PredictionService(result.model, monitor=make_monitor()), shard_id=shard_id
+    )
+
+
+def make_fleet(result, n_shards) -> FleetService:
+    return FleetService([make_inline_worker(result, shard_id=i) for i in range(n_shards)])
+
+
+class ProbedWorker:
+    """A shard worker wrapper that counts ``snapshot`` calls and, while
+    ``hold`` is set, signals ``entered`` and waits for ``release`` before the
+    shard serves a request."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.n_snapshots = 0
+        self.hold = None
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def predict(self, *args, **kwargs):
+        if self.hold is not None:
+            entered, release = self.hold
+            entered.set()
+            release.wait(timeout=30)
+        return self.inner.predict(*args, **kwargs)
+
+    def snapshot(self):
+        self.n_snapshots += 1
+        return self.inner.snapshot()
 
 
 def requests(n, *, rows=40, seed=3):
@@ -90,13 +117,6 @@ class TestFleetDispatch:
                     fleet.predict(X, group, y_true=y), single.predict(X)
                 )
 
-    def test_scatter_preserves_row_order(self, fitted):
-        result, _ = fitted
-        X = SPLIT.deploy.X[:100]
-        single = PredictionService(result.model)
-        with make_fleet(result, 3, scatter_rows=7) as fleet:
-            np.testing.assert_array_equal(fleet.predict(X), single.predict(X))
-
     def test_predict_async_inside_a_loop(self, fitted):
         result, _ = fitted
 
@@ -113,21 +133,9 @@ class TestFleetDispatch:
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(first, single.predict(SPLIT.deploy.X[:30]))
 
-    def test_least_loaded_dispatch_serves_all(self, fitted):
-        result, _ = fitted
-        with make_fleet(result, 2, dispatch="least_loaded") as fleet:
-            for X, group, y in requests(4):
-                assert fleet.predict(X, group, y_true=y).shape == (40,)
-            assert fleet.stats.n_records == 160
-
     def test_invalid_config_rejected(self, fitted):
-        result, _ = fitted
         with pytest.raises(FleetError, match="at least one"):
             FleetService([])
-        with pytest.raises(FleetError, match="dispatch"):
-            make_fleet(result, 2, dispatch="random")
-        with pytest.raises(FleetError, match="scatter_rows"):
-            make_fleet(result, 2, scatter_rows=0)
 
     def test_closed_fleet_rejects_requests(self, fitted):
         result, _ = fitted
@@ -164,18 +172,39 @@ class TestFleetAggregation:
             assert fleet.stats.n_requests == 4
             assert fleet.n_requests == 4
 
-    def test_report_cadence_and_shape(self, fitted):
+    def test_monitor_is_fresh_after_an_overlapping_read(self, fitted):
+        """A monitor read while a request is in flight must not be served
+        from the cache once that request has completed."""
         result, _ = fitted
-        with make_fleet(result, 2, report_every=2) as fleet:
+        worker = ProbedWorker(make_inline_worker(result))
+        with FleetService([worker]) as fleet:
+            fleet.predict(SPLIT.deploy.X[:10])
+            worker.hold = (threading.Event(), threading.Event())
+            entered, release = worker.hold
+            thread = threading.Thread(target=fleet.predict, args=(SPLIT.deploy.X[10:20],))
+            thread.start()
+            assert entered.wait(timeout=30)
+            assert fleet.monitor.n_seen == 10  # request 2 not yet served
+            release.set()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            assert fleet.monitor.n_seen == 20
+
+    def test_report_snapshots_each_shard_once(self, fitted):
+        result, _ = fitted
+        workers = [ProbedWorker(make_inline_worker(result, shard_id=i)) for i in range(2)]
+        with FleetService(workers) as fleet:
             for X, group, y in requests(5):
                 fleet.predict(X, group, y_true=y)
-            report = fleet.fleet_report()
-            history = list(fleet.report_history)
-        assert len(history) == 2
+            for _ in range(2):  # a cache miss, then a cache hit
+                for worker in workers:
+                    worker.n_snapshots = 0
+                report = fleet.fleet_report()
+                assert [worker.n_snapshots for worker in workers] == [1, 1]
+            assert report["windowed"] == fleet.monitor.windowed_summary()
         assert report["n_shards"] == 2
         assert report["n_records"] == 200
         assert [s["shard_id"] for s in report["shards"]] == [0, 1]
-        assert "windowed" in report
 
     def test_monitorless_fleet_reports_without_window(self, fitted):
         result, _ = fitted

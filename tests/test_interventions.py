@@ -1,7 +1,5 @@
 """Tests for the intervention protocol, registry, and FairnessPipeline facade."""
 
-import inspect
-
 import numpy as np
 import pytest
 
@@ -218,7 +216,7 @@ def _legacy_run_method(method, split, *, learner="lr", seed=0,
     """Frozen copy of the pre-redesign 9-branch run_method dispatch.
 
     Kept verbatim (minus the unknown-method branch) as the reference for the
-    shim-delegation equivalence test below: the registry-driven runner must
+    equivalence tests below: the registry-driven ``FairnessPipeline`` must
     reproduce these predictions bit-for-bit.
     """
 
@@ -276,42 +274,39 @@ def _legacy_run_method(method, split, *, learner="lr", seed=0,
     raise AssertionError(f"unexpected method {method!r}")
 
 
+def _pipeline_run(method, split, *, seed, calibration_learner=None, **params):
+    return FairnessPipeline(
+        intervention=method,
+        learner="lr",
+        dataset=split,
+        calibration_learner=calibration_learner,
+        seed=seed,
+        intervention_params=params,
+    ).run()
+
+
 class TestShimEquivalence:
     @pytest.mark.parametrize("method", CANONICAL_METHODS)
     def test_run_method_matches_legacy_dispatch(self, method, drifted_split):
-        from repro.experiments import run_method
-
         kwargs = FAST_KWARGS.get(method, {})
         legacy_pred, legacy_details = _legacy_run_method(
             method, drifted_split, learner="lr", seed=3, **kwargs
         )
-        new_pred, new_details = run_method(method, drifted_split, learner="lr", seed=3, **kwargs)
-        assert np.array_equal(legacy_pred, new_pred)
-        assert legacy_details == new_details
-
-    def test_runner_has_no_per_method_dispatch(self):
-        """Acceptance criterion: runner.py is a thin delegate, no if/elif chain."""
-        import repro.experiments.runner as runner
-
-        source = inspect.getsource(runner)
-        assert "elif" not in source
-        assert 'key ==' not in source
+        result = _pipeline_run(method, drifted_split, seed=3, **kwargs)
+        assert np.array_equal(legacy_pred, result.predictions)
+        assert legacy_details == result.details
 
     def test_inapplicable_kwargs_now_raise(self, drifted_split):
-        from repro.experiments import run_method
-
         with pytest.raises(ExperimentError):
-            run_method("diffair", drifted_split, tuning_grid=(0.0, 1.0))
+            _pipeline_run("diffair", drifted_split, seed=0, tuning_grid=(0.0, 1.0))
         with pytest.raises(ExperimentError):
-            run_method("multimodel", drifted_split, fairness_target="di")
+            _pipeline_run("multimodel", drifted_split, seed=0, fairness_target="di")
         with pytest.raises(ExperimentError):
-            run_method("kam", drifted_split, lam=0.5)
+            _pipeline_run("kam", drifted_split, seed=0, lam=0.5)
 
     def test_calibration_learner_rejected_without_capability(self, drifted_split):
-        from repro.experiments import run_method
-
         with pytest.raises(ExperimentError):
-            run_method("diffair", drifted_split, calibration_learner="xgb")
+            _pipeline_run("diffair", drifted_split, seed=0, calibration_learner="xgb")
 
 
 class TestFairnessPipeline:
@@ -333,9 +328,7 @@ class TestFairnessPipeline:
         assert result.runtime_seconds > 0
 
     def test_run_matches_run_method(self, drifted_split):
-        from repro.experiments import run_method
-
-        predictions, _ = run_method("diffair", drifted_split, learner="lr", seed=5)
+        predictions, _ = _legacy_run_method("diffair", drifted_split, learner="lr", seed=5)
         result = FairnessPipeline(
             intervention="diffair", learner="lr", dataset=drifted_split, seed=5
         ).run()

@@ -6,13 +6,13 @@ promote with windowed DI* recovery and no balanced-accuracy regression while
 a stationary control replay stays promotion-free; the audit trail must
 replay bit-identically through its schema-versioned artifact; and
 ``calibrate_thresholds`` must hit the requested false-alarm rate (one-sided:
-achieved ≤ target) with a :class:`MonitorThresholds` that drives a monitor
-bit-identical to the flat-kwargs spelling.
+achieved ≤ target) with a :class:`MonitorThresholds` that survives its JSON
+form and drives a bit-identical monitor.
 """
 
 from __future__ import annotations
 
-import warnings
+import json
 
 import numpy as np
 import pytest
@@ -152,107 +152,8 @@ class TestMonitorThresholds:
     def test_monitor_constructor_validates_the_bugfixed_fields(self):
         with pytest.raises(ValidationError, match="min_violation"):
             FairnessMonitor(window_size=10, thresholds=MonitorThresholds(min_violation=-1.0))
-        with pytest.raises(ValidationError, match="min_samples"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                FairnessMonitor(window_size=10, min_samples=0)
-
-
-class TestMonitorBaselines:
-    def test_dict_round_trip(self):
-        baselines = MonitorBaselines(violation=0.1, group_fraction=0.3)
-        assert MonitorBaselines.from_dict(baselines.to_dict()) == baselines
-        assert baselines.log_density is None
-
-    def test_invalid_group_fraction_rejected(self):
-        with pytest.raises(ValidationError):
-            MonitorBaselines(group_fraction=1.5)
-
-    def test_set_baselines_accepts_object_or_channels_not_both(self):
-        monitor = FairnessMonitor(window_size=10)
-        installed = monitor.set_baselines(group_fraction=0.25)
-        assert installed.group_fraction == 0.25
-        other = FairnessMonitor(window_size=10)
-        assert other.set_baselines(installed) == installed
-        with pytest.raises(ValidationError, match="not both"):
-            other.set_baselines(installed, group_fraction=0.5)
-
-
-# ---------------------------------------------------------------------------
-# deprecated flat spellings stay equivalent
-# ---------------------------------------------------------------------------
-def assert_same_monitor_state(a, b):
-    """The observable contract of bit-identical monitors."""
-    assert a.thresholds == b.thresholds
-    assert a.baselines == b.baselines
-    assert a.windowed_summary() == b.windowed_summary()
-    assert a.drift_status() == b.drift_status()
-    assert a.density_status() == b.density_status()
-    assert a.group_status() == b.group_status()
-    assert a.n_window == b.n_window and a.n_seen == b.n_seen
-
-
-class TestDeprecatedSpellings:
-    def feed(self, monitor):
-        rng = np.random.default_rng(5)
-        for _ in range(4):
-            predictions = rng.integers(0, 2, 60)
-            group = rng.integers(0, 2, 60)
-            monitor.update(predictions, group, y_true=rng.integers(0, 2, 60))
-        return monitor
-
-    def test_flat_kwargs_warn_and_match_thresholds(self):
-        with pytest.warns(DeprecationWarning):
-            flat = FairnessMonitor(window_size=100, min_samples=20, group_tolerance=0.2)
-        explicit = FairnessMonitor(
-            window_size=100,
-            thresholds=MonitorThresholds(min_samples=20, group_tolerance=0.2),
-        )
-        assert flat.thresholds == explicit.thresholds
-        self.feed(flat)
-        self.feed(explicit)
-        assert_same_monitor_state(flat, explicit)
-
-    def test_thresholds_spelling_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            FairnessMonitor(window_size=100, thresholds=MonitorThresholds())
-
-    def test_conflicting_thresholds_and_flat_kwargs_rejected(self):
-        with pytest.raises(ValidationError, match="ambiguous"):
-            FairnessMonitor(
-                window_size=100,
-                thresholds=MonitorThresholds(min_samples=20),
-                min_samples=30,
-            )
-
-    def test_consistent_thresholds_and_flat_kwargs_accepted_silently(self):
-        # The clone/artifact path passes both spellings with equal values;
-        # it must neither warn nor raise.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            monitor = FairnessMonitor(
-                window_size=100,
-                thresholds=MonitorThresholds(min_samples=20),
-                min_samples=20,
-            )
-        assert monitor.min_samples == 20
-
-    def test_old_setters_warn_and_delegate(self):
-        monitor = FairnessMonitor(window_size=100)
-        with pytest.warns(DeprecationWarning):
-            monitor.set_group_baseline(0.3)
-        assert monitor.baselines.group_fraction == 0.3
-        with pytest.warns(DeprecationWarning):
-            monitor.set_drift_baseline(0.125)
-        with pytest.warns(DeprecationWarning):
-            monitor.set_density_baseline(-3.5)
-        assert monitor.baselines == MonitorBaselines(
-            violation=0.125, log_density=-3.5, group_fraction=0.3
-        )
-        fresh = FairnessMonitor(window_size=100)
-        fresh.set_baselines(monitor.baselines)
-        assert fresh.baselines == monitor.baselines
+        with pytest.raises(ValidationError, match="MonitorThresholds"):
+            FairnessMonitor(window_size=10, thresholds={"min_samples": 0})
 
     def test_thresholds_ride_state_dicts_and_artifacts(self, tmp_path):
         from repro.serving import load_artifact, save_artifact
@@ -277,6 +178,39 @@ class TestDeprecatedSpellings:
             FairnessMonitor.merge_state_dicts(
                 [a.state_dict(), b.state_dict()], window_size=100
             )
+        with pytest.raises(ValidationError, match="thresholds"):
+            FairnessMonitor.merge(a, b)
+
+
+class TestMonitorBaselines:
+    def test_dict_round_trip(self):
+        baselines = MonitorBaselines(violation=0.1, group_fraction=0.3)
+        assert MonitorBaselines.from_dict(baselines.to_dict()) == baselines
+        assert baselines.log_density is None
+
+    def test_invalid_group_fraction_rejected(self):
+        with pytest.raises(ValidationError):
+            MonitorBaselines(group_fraction=1.5)
+
+    def test_set_baselines_accepts_object_or_channels_not_both(self):
+        monitor = FairnessMonitor(window_size=10)
+        installed = monitor.set_baselines(group_fraction=0.25)
+        assert installed.group_fraction == 0.25
+        other = FairnessMonitor(window_size=10)
+        assert other.set_baselines(installed) == installed
+        with pytest.raises(ValidationError, match="not both"):
+            other.set_baselines(installed, group_fraction=0.5)
+
+
+def assert_same_monitor_state(a, b):
+    """The observable contract of bit-identical monitors."""
+    assert a.thresholds == b.thresholds
+    assert a.baselines == b.baselines
+    assert a.windowed_summary() == b.windowed_summary()
+    assert a.drift_status() == b.drift_status()
+    assert a.density_status() == b.density_status()
+    assert a.group_status() == b.group_status()
+    assert a.n_window == b.n_window and a.n_seen == b.n_seen
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +287,20 @@ class TestCalibration:
         )
         thresholds = calibration.thresholds
         via_object = FairnessMonitor(window_size=600, thresholds=thresholds)
-        with pytest.warns(DeprecationWarning):
-            via_flat = FairnessMonitor(
-                window_size=600,
-                drift_factor=thresholds.drift_factor,
-                min_violation=thresholds.min_violation,
-                min_samples=thresholds.min_samples,
-                density_drop=thresholds.density_drop,
-                group_tolerance=thresholds.group_tolerance,
-            )
+        # The JSON form `repro-simulate calibrate` emits, read back.
+        via_json = FairnessMonitor(
+            window_size=600,
+            thresholds=MonitorThresholds.from_dict(json.loads(json.dumps(thresholds.to_dict()))),
+        )
         for batch in self.control_batches(split, n_steps=8):
-            for monitor in (via_object, via_flat):
+            for monitor in (via_object, via_json):
                 monitor.update(
                     np.zeros(batch.X.shape[0], dtype=np.int64),
                     batch.group,
                     y_true=batch.y,
                     X=batch.X,
                 )
-        assert_same_monitor_state(via_object, via_flat)
+        assert_same_monitor_state(via_object, via_json)
 
     def test_invalid_target_rejected(self, runner, fitted):
         _, split, _ = fitted

@@ -1,4 +1,4 @@
-"""Checkpointing tests for the serving monitor (plus the CLI shim dedupe).
+"""Checkpointing tests for the serving monitor.
 
 The guarantee under test: a :class:`FairnessMonitor` paused mid-stream via
 ``state_dict`` (directly or through a saved artifact) and resumed into a
@@ -9,13 +9,15 @@ decisions — for the remainder of the stream.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import profile_partitions
 from repro.datasets import make_drifted_groups, split_dataset
 from repro.density import KernelDensity
-from repro.exceptions import ValidationError
+from repro.exceptions import ArtifactError, ValidationError
 from repro.learners.base import clone
 from repro.serving import (
     FairnessMonitor,
@@ -24,6 +26,7 @@ from repro.serving import (
     load_artifact,
     save_artifact,
 )
+from repro.serving.artifacts import MANIFEST_NAME, read_manifest
 
 SPLIT = split_dataset(
     make_drifted_groups(
@@ -116,6 +119,16 @@ class TestCheckpointResume:
         with pytest.raises(ValidationError, match="bogus_"):
             FairnessMonitor(window_size=10).load_state_dict(state)
 
+    def test_manifest_with_a_removed_flat_param_fails_to_load(self, tmp_path):
+        """Monitor artifacts that still carry a flat threshold param (the
+        spelling removed in 2.0.0) are refused, not silently migrated."""
+        path = save_artifact(FairnessMonitor(window_size=10), tmp_path / "monitor")
+        manifest = read_manifest(path)
+        manifest["root"]["value"]["params"]["items"].append(["drift_factor", 3.0])
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ArtifactError, match="drift_factor"):
+            load_artifact(path)
+
     def test_missing_state_key_rejected(self):
         monitor = FairnessMonitor(window_size=10)
         state = monitor.state_dict()
@@ -134,7 +147,7 @@ class TestCheckpointResume:
 
 class TestGroupChannel:
     def test_no_baseline_means_no_alarm(self):
-        monitor = FairnessMonitor(window_size=100, min_samples=10)
+        monitor = FairnessMonitor(window_size=100, thresholds=MonitorThresholds(min_samples=10))
         monitor.update(np.ones(20, dtype=int), np.ones(20, dtype=int))
         status = monitor.group_status()
         assert status.baseline_fraction is None and not status.alarm
@@ -142,8 +155,10 @@ class TestGroupChannel:
         assert "group" not in monitor.windowed_summary()
 
     def test_alarm_fires_on_shifted_mix(self):
-        monitor = FairnessMonitor(window_size=100, min_samples=10, group_tolerance=0.2)
-        monitor.set_group_baseline(0.3)
+        monitor = FairnessMonitor(
+            window_size=100, thresholds=MonitorThresholds(min_samples=10, group_tolerance=0.2)
+        )
+        monitor.set_baselines(group_fraction=0.3)
         group = np.ones(50, dtype=int)
         group[:5] = 0  # 90% minority vs 30% baseline
         monitor.update(np.ones(50, dtype=int), group)
@@ -152,8 +167,10 @@ class TestGroupChannel:
         assert monitor.windowed_summary()["group"]["alarm"] is True
 
     def test_min_samples_guards_the_alarm(self):
-        monitor = FairnessMonitor(window_size=100, min_samples=30, group_tolerance=0.1)
-        monitor.set_group_baseline(0.2)
+        monitor = FairnessMonitor(
+            window_size=100, thresholds=MonitorThresholds(min_samples=30, group_tolerance=0.1)
+        )
+        monitor.set_baselines(group_fraction=0.2)
         monitor.update(np.ones(10, dtype=int), np.ones(10, dtype=int))
         assert not monitor.group_status().alarm
 
@@ -161,42 +178,23 @@ class TestGroupChannel:
         group = np.array([0, 1, 1, 0, 1])
         a = FairnessMonitor(window_size=10)
         b = FairnessMonitor(window_size=10)
-        assert a.set_group_baseline(group) == b.set_group_baseline(0.6)
+        assert a.set_baselines(group_fraction=group) == b.set_baselines(group_fraction=0.6)
 
     def test_invalid_baseline_rejected(self):
         monitor = FairnessMonitor(window_size=10)
         with pytest.raises(ValidationError):
-            monitor.set_group_baseline(1.5)
+            monitor.set_baselines(group_fraction=1.5)
         with pytest.raises(ValidationError):
-            monitor.set_group_baseline(np.array([]))
+            monitor.set_baselines(group_fraction=np.array([]))
 
     def test_invalid_tolerance_rejected(self):
         with pytest.raises(ValidationError, match="group_tolerance"):
-            FairnessMonitor(group_tolerance=0.0)
+            FairnessMonitor(thresholds=MonitorThresholds(group_tolerance=0.0))
 
     def test_scalar_conformance_and_density_baselines(self):
         monitor = make_monitor()
-        assert monitor.set_drift_baseline(0.125) == 0.125
-        assert monitor.set_density_baseline(-3.5) == -3.5
+        assert monitor.set_baselines(violation=0.125).violation == 0.125
+        assert monitor.set_baselines(log_density=-3.5).log_density == -3.5
         assert monitor.drift_status().baseline_violation == 0.125
         assert monitor.density_status().baseline_log_density == -3.5
 
-
-class TestServeShimDedupe:
-    def test_serve_module_reexports_the_cli(self):
-        import repro.serve as shim
-        import repro.serving.cli as cli
-
-        assert shim.main is cli.main
-        assert shim.build_parser is cli.build_parser
-        assert set(shim.__all__) == {"build_parser", "main"}
-
-    def test_single_parser_source_of_truth(self, capsys):
-        import repro.serve as shim
-
-        with pytest.raises(SystemExit):
-            shim.build_parser().parse_args(["--help"])
-        out = capsys.readouterr().out
-        assert "repro-serve" in out
-        for command in ("fit", "save", "score", "serve"):
-            assert command in out

@@ -12,7 +12,7 @@ from repro.datasets import load_dataset, make_drifted_groups, split_dataset
 from repro.exceptions import ValidationError
 from repro.fairness import evaluate_predictions
 from repro.fairness.streaming import FairnessAccumulator, StreamCounts
-from repro.serving import FairnessMonitor, PredictionService, save_artifact
+from repro.serving import FairnessMonitor, MonitorThresholds, PredictionService, save_artifact
 from repro.serving.cli import main as cli_main
 from repro.telemetry import MetricsRegistry
 
@@ -179,9 +179,9 @@ class TestFairnessMonitor:
             window_size=deploy.n_samples,
             profile=profile,
             n_numeric_features=train.n_numeric_features,
-            min_samples=20,
+            thresholds=MonitorThresholds(min_samples=20),
         )
-        monitor.set_drift_baseline(train.X)
+        monitor.set_baselines(violation=train.X)
 
         predictions = np.zeros(deploy.n_samples, dtype=np.int64)
         monitor.update(predictions, deploy.group, X=deploy.X)
@@ -203,9 +203,9 @@ class TestFairnessMonitor:
             window_size=deploy.n_samples,
             profile=diffair_result.intervention.profile_,
             n_numeric_features=train.n_numeric_features,
-            min_samples=20,
+            thresholds=MonitorThresholds(min_samples=20),
         )
-        monitor.set_drift_baseline(train.X)
+        monitor.set_baselines(violation=train.X)
         service = PredictionService(diffair_result, monitor=monitor)
 
         service.predict(deploy.X)  # no group anywhere
@@ -232,10 +232,9 @@ class TestFairnessMonitor:
             window_size=deploy.n_samples,
             density_estimator=estimator,
             n_numeric_features=train.n_numeric_features,
-            min_samples=20,
-            density_drop=2.0,
+            thresholds=MonitorThresholds(min_samples=20, density_drop=2.0),
         )
-        baseline = monitor.set_density_baseline(train.X)
+        baseline = monitor.set_baselines(log_density=train.X).log_density
         predictions = np.zeros(deploy.n_samples, dtype=np.int64)
 
         monitor.update(predictions, deploy.group, X=deploy.X)

@@ -210,9 +210,11 @@ class TestAlarmForensics:
         channel = report["channels"]["group"]
         assert channel["statistic"] == status.minority_fraction
         assert channel["baseline"] == status.baseline_fraction
-        assert channel["threshold"] == monitor.group_tolerance
+        assert channel["threshold"] == monitor.thresholds.group_tolerance
         assert channel["shift"] == status.shift
-        assert channel["margin"] == pytest.approx(status.shift - monitor.group_tolerance)
+        assert channel["margin"] == pytest.approx(
+            status.shift - monitor.thresholds.group_tolerance
+        )
         assert channel["alarm"] is True
         assert channel["n_scored"] == status.n_scored
         assert report["last_sequence"] == monitor.last_sequence

@@ -12,14 +12,16 @@ Integration-level checks of the observability contract:
   quantiles per shard;
 * a dead worker process turns into a :class:`FleetError` carrying the
   shard id, process exit code, and served-sequence forensics;
-* ``report_every`` emits exactly one report per interval under a
-  multi-threaded request hammer;
+* under a multi-threaded request hammer every request is served once and
+  stamped with its own sequence, so the merged window holds each stamp
+  exactly once;
 * a 4-shard replay stays bit-identical to the single service with
   telemetry enabled (the spans never feed the verdict).
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -32,7 +34,7 @@ from repro.exceptions import FleetError
 from repro.fleet import FleetService, InlineShardWorker, ProcessShardWorker
 from repro.fleet.replay import compare_sharded_replay
 from repro.interventions import FairnessPipeline
-from repro.serving import FairnessMonitor, PredictionService, save_artifact
+from repro.serving import FairnessMonitor, MonitorThresholds, PredictionService, save_artifact
 from repro.simulate import ReplayHarness, SuiteRunner, TrafficStream, make_scenario
 from repro.telemetry import MetricsRegistry
 
@@ -65,9 +67,11 @@ def default_registry():
         registry.reset()
 
 
-def make_monitor() -> FairnessMonitor:
-    monitor = FairnessMonitor(window_size=400, min_samples=30)
-    monitor.set_group_baseline(SPLIT.train.group)
+def make_monitor(window_size=400) -> FairnessMonitor:
+    monitor = FairnessMonitor(
+        window_size=window_size, thresholds=MonitorThresholds(min_samples=30)
+    )
+    monitor.set_baselines(group_fraction=SPLIT.train.group)
     return monitor
 
 
@@ -261,29 +265,45 @@ class TestFleetTelemetry:
         finally:
             worker.close()
 
-    def test_report_cadence_exact_under_threaded_hammer(self, fitted):
-        """Satellite: report_every=4 with 8 threads x 4 requests each must
-        leave exactly 32/4 = 8 reports — one per interval, no duplicates."""
+    def test_threaded_hammer_stamps_every_request(self, fitted):
+        """8 caller threads x 4 requests on 2 shards: each request is served
+        once and stamped once, so the merged window holds sequences 0..31."""
         result, _ = fitted
-        n_threads, per_thread, every = 8, 4, 4
-        with self.make_fleet(result, 2, report_every=every) as fleet:
+        n_threads, per_thread, rows = 8, 4, 25
+        n_total = n_threads * per_thread
+        workers = [
+            InlineShardWorker(
+                # Wide enough that the merged window retains every request.
+                PredictionService(result.model, monitor=make_monitor(window_size=1000)),
+                shard_id=i,
+            )
+            for i in range(2)
+        ]
+        with FleetService(workers, telemetry=MetricsRegistry(enabled=True)) as fleet:
             deploy = SPLIT.deploy
             barrier = threading.Barrier(n_threads)
 
             def hammer():
                 barrier.wait(timeout=10)
                 for _ in range(per_thread):
-                    fleet.predict(deploy.X[:25])
+                    fleet.predict(deploy.X[:rows])
 
             threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            history = list(fleet.report_history)
-            assert fleet.n_requests == n_threads * per_thread
-        assert len(history) == n_threads * per_thread // every
-        assert history[-1]["n_records"] <= n_threads * per_thread * 25
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the callers finely
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            merged = fleet.monitor
+            assert fleet.n_requests == n_total
+            assert [s.stats.n_requests for s in fleet.snapshots()] == [16, 16]
+        assert merged.n_seen == n_total * rows
+        assert list(merged.state_dict()["chunk_sequences_"]) == list(range(n_total))
 
 
 class TestReplayTelemetry:
@@ -307,7 +327,10 @@ class TestReplayTelemetry:
         4-shard vs single-service replay equivalence."""
         result, _ = fitted
         runner = SuiteRunner(
-            result.model, SPLIT.train, window_size=400, min_samples=30
+            result.model,
+            SPLIT.train,
+            window_size=400,
+            thresholds=MonitorThresholds(min_samples=30),
         )
         comparison = compare_sharded_replay(
             runner,
