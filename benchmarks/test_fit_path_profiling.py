@@ -1,23 +1,19 @@
 """Benchmark FIT: the fit-side hot path (figure08-style degree sweep).
 
-PR 4 made one KDE evaluation fast; this benchmark guards the *fit-time*
-wins layered on top of it — parallel partition profiling over the shared
-``iter_group_label_partitions`` iterator, the shared thread-safe backend
-cache, and the opt-in float32 distance-kernel path.  The ``fit_path``
-benchmarks are wired into the CI benchmark-regression gate
-(``compare_benchmarks.py --select fit_path``) so fit-time performance can't
-silently rot.
+This benchmark guards the fit-time hot path — parallel partition profiling
+over the shared ``iter_group_label_partitions`` iterator and the shared
+thread-safe density-backend cache.  The ``fit_path`` benchmarks are wired
+into the CI benchmark-regression gate (``compare_benchmarks.py --select
+fit_path``) so fit-time performance can't silently rot.
 
-Correctness is asserted outside the timed region: the parallel sweep must be
-bit-identical to the serial one, and the float32 filter must keep exactly
-the float64 reference rows (rank-equivalence is what Algorithm 3 consumes).
+Correctness is asserted outside the timed region: the parallel sweep and the
+parallel profile must be bit-identical to the serial ones.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.density_filter import density_filter_indices
 from repro.core.partitions import profile_partitions
 from repro.datasets import load_dataset, split_dataset
 from repro.density import clear_backend_cache
@@ -92,18 +88,3 @@ def test_fit_path_profile_partitions_parallel(benchmark, paper_scale):
             serial.violation(key, X), profile.violation(key, X)
         )
 
-
-def test_fit_path_density_filter_float32(benchmark, paper_scale):
-    """The opt-in float32 distance-kernel path, gated on rank-equivalence."""
-    split = _sweep_split(paper_scale)
-    X = split.train.numeric_X
-    reference = density_filter_indices(X, density_fraction=0.2)
-    kept = benchmark.pedantic(
-        density_filter_indices,
-        args=(X,),
-        kwargs={"density_fraction": 0.2, "dtype": "float32"},
-        setup=clear_backend_cache,
-        rounds=3,
-        iterations=1,
-    )
-    np.testing.assert_array_equal(reference, kept)

@@ -17,8 +17,7 @@ import pytest
 from repro import FairnessPipeline
 from repro.datasets import load_dataset, split_dataset
 from repro.fleet import FleetService, InlineShardWorker
-from repro.serving import FairnessMonitor, PredictionService
-from repro.serving.cli import find_profile
+from repro.serving import FairnessMonitor, PredictionService, find_profile
 
 N_SHARDS = 4
 N_REQUESTS = 48

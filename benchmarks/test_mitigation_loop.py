@@ -16,8 +16,7 @@ import pytest
 
 from repro import FairnessPipeline
 from repro.datasets import load_dataset, split_dataset
-from repro.serving import MonitorThresholds
-from repro.serving.cli import find_profile
+from repro.serving import MonitorThresholds, find_profile
 from repro.simulate import SuiteRunner, make_scenario
 
 N_STEPS = 40

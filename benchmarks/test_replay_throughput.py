@@ -15,8 +15,7 @@ import pytest
 
 from repro import FairnessPipeline
 from repro.datasets import load_dataset, split_dataset
-from repro.serving import save_artifact
-from repro.serving.cli import find_profile
+from repro.serving import find_profile, save_artifact
 from repro.serving.service import PredictionService
 from repro.simulate import SuiteRunner, make_scenario
 

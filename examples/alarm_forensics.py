@@ -25,8 +25,7 @@ Run with:  python examples/alarm_forensics.py
 
 from repro import FairnessPipeline, make_drifted_groups, split_dataset
 from repro.fleet import FleetService
-from repro.serving import MonitorThresholds
-from repro.serving.cli import find_profile
+from repro.serving import MonitorThresholds, find_profile
 from repro.simulate import ReplayHarness, SuiteRunner, TrafficStream, make_scenario
 from repro.telemetry import enable as enable_telemetry, get_event_log
 

@@ -19,7 +19,7 @@ Run with:  python examples/drift_scenario_replay.py
 
 from repro import FairnessPipeline, load_dataset, split_dataset
 from repro.density import KernelDensity
-from repro.serving.cli import find_profile
+from repro.serving import find_profile
 from repro.simulate import SuiteRunner, make_scenario
 
 

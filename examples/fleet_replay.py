@@ -19,8 +19,7 @@ Run with:  python examples/fleet_replay.py
 
 from repro import FairnessPipeline, make_drifted_groups, split_dataset
 from repro.fleet import compare_sharded_replay
-from repro.serving import MonitorThresholds
-from repro.serving.cli import find_profile
+from repro.serving import MonitorThresholds, find_profile
 from repro.simulate import SuiteRunner, TrafficStream, make_scenario
 
 N_SHARDS = 8

@@ -158,14 +158,10 @@ records by sequence.  Every serving/simulation/fleet CLI takes
 ``--events-out PATH``; ``repro-telemetry tail`` reads the dumps back.
 
 Algorithm 3's density estimation runs on a batch-first engine
-(:mod:`repro.density`): ``KernelDensity(algorithm=...)`` dispatches
-``score_samples`` onto a brute-force, flat batch KD-tree, or grid-hash
-backend (``"auto"`` picks per kernel/shape), each backend returns
-log-densities bit-identical to its seed-implementation counterpart
-(enforced against the frozen copy in :mod:`repro.density.reference`), and
-fitted structures are cached across fits of the same partition.  See the
-:mod:`repro.density` docstring for the selection rules and the exact
-equivalence guarantees.
+(:mod:`repro.density`): ``KernelDensity(bandwidth, kernel)`` scores the
+whole query batch with the seed's blockwise pairwise-distance code, so its
+log-densities are bit-identical to the seed's, and backends are cached
+across fits of the same partition.
 """
 
 from repro.baselines import (
@@ -220,7 +216,7 @@ from repro.telemetry import MetricsRegistry
 # Observability quickstart's `from repro import telemetry`.
 from repro import telemetry
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 # The serving subsystem consumes everything above (interventions, learners,
 # datasets), the simulation subsystem consumes serving, and the fleet

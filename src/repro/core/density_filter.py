@@ -10,7 +10,7 @@ DiffFair and ConFair.
 Density estimation runs through the batch engine in :mod:`repro.density`:
 ``score_samples`` evaluates each partition in one vectorized pass and the
 backend cache means repeated fits over the same partition (degree sweeps,
-profile rebuilds) reuse the already-built spatial index.
+profile rebuilds) share one backend.
 
 This module also owns the canonical **partition iterators**
 (:func:`iter_group_label_partitions`, :func:`iter_group_partitions`): every
@@ -78,8 +78,6 @@ def density_filter_indices(
     min_keep: int = 10,
     kernel: str = "gaussian",
     bandwidth="scott",
-    algorithm: str = "auto",
-    dtype: str = "float64",
 ) -> np.ndarray:
     """Return the indices of the densest rows of ``X`` (Algorithm 3, one partition).
 
@@ -92,18 +90,8 @@ def density_filter_indices(
     min_keep:
         Keep at least this many rows (bounded by the partition size), so tiny
         partitions still yield enough tuples to derive constraints from.
-    kernel, bandwidth, algorithm:
-        Passed to :class:`repro.density.KernelDensity`; ``algorithm``
-        selects the density backend.  ``kd_tree`` and ``grid`` rank
-        bit-identically; ``brute`` computes distances through a different
-        (equally exact) expansion, so its ranks can differ only between
-        rows whose densities are tied to within an ulp.
-    dtype:
-        ``"float64"`` (default) or ``"float32"``: the opt-in single-precision
-        distance-kernel path of :class:`repro.density.KernelDensity`.  The
-        filter consumes density *ranks*, whose float32-vs-float64
-        equivalence is gated by the test suite; the default keeps the frozen
-        float64 reference path.
+    kernel, bandwidth:
+        Passed to :class:`repro.density.KernelDensity`.
     """
     if not 0.0 < density_fraction <= 1.0:
         raise ValidationError("density_fraction must be in (0, 1]")
@@ -115,9 +103,7 @@ def density_filter_indices(
     if keep >= n_rows:
         return np.arange(n_rows)
 
-    estimator = KernelDensity(
-        bandwidth=bandwidth, kernel=kernel, algorithm=algorithm, dtype=dtype
-    ).fit(X)
+    estimator = KernelDensity(bandwidth=bandwidth, kernel=kernel).fit(X)
     log_density = estimator.score_samples(X)
     order = np.argsort(-log_density, kind="mergesort")
     return np.sort(order[:keep])
@@ -130,8 +116,6 @@ def density_filter(
     min_keep: int = 10,
     kernel: str = "gaussian",
     bandwidth="scott",
-    algorithm: str = "auto",
-    dtype: str = "float64",
     n_jobs: Optional[int] = None,
 ) -> Dataset:
     """Apply Algorithm 3 to a dataset: keep the densest tuples of each partition.
@@ -154,8 +138,6 @@ def density_filter(
             min_keep=min_keep,
             kernel=kernel,
             bandwidth=bandwidth,
-            algorithm=algorithm,
-            dtype=dtype,
         )
         return partition_rows[local]
 
@@ -169,8 +151,6 @@ def partition_density_ranks(
     *,
     kernel: str = "gaussian",
     bandwidth="scott",
-    algorithm: str = "auto",
-    dtype: str = "float64",
     n_jobs: Optional[int] = None,
 ) -> Dict[PartitionKey, np.ndarray]:
     """Per-partition density ranks (0 = densest) keyed by ``(group, label)``.
@@ -185,9 +165,9 @@ def partition_density_ranks(
     def _rank_one(rows: np.ndarray) -> np.ndarray:
         if rows.size == 1:
             return np.array([0])
-        estimator = KernelDensity(
-            bandwidth=bandwidth, kernel=kernel, algorithm=algorithm, dtype=dtype
-        ).fit(dataset.numeric_X[rows])
+        estimator = KernelDensity(bandwidth=bandwidth, kernel=kernel).fit(
+            dataset.numeric_X[rows]
+        )
         return estimator.density_rank(dataset.numeric_X[rows])
 
     all_ranks = thread_map(_rank_one, [rows for _, rows in partitions], n_jobs=n_jobs)

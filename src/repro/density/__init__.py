@@ -1,46 +1,18 @@
-"""Kernel density estimation substrate — a batch-first, pluggable engine.
+"""Kernel density estimation substrate.
 
-Algorithm 3 of the paper ranks tuples by their estimated density (using a
-tree-based, non-parametric kernel density estimator) and keeps the densest
-``k`` tuples per partition.  This subpackage rebuilds that substrate around
-vectorized spatial indexes:
+Algorithm 3 of the paper ranks tuples by their estimated density and keeps
+the densest ``k`` tuples per partition.  This subpackage provides that
+substrate:
 
-* :class:`KDTree` — a flat array-based k-d tree (iterative build) whose
-  ``query_radius_batch`` / ``query_batch`` process every query row in one
-  vectorized frontier traversal; the single-point ``query`` /
-  ``query_radius`` methods are thin wrappers over the batch API.
-* :class:`GridIndex` — a spatial hash with bandwidth-sized cells: for
-  compact kernels, radius search is a ``3**d``-cell gather.
-* :class:`KernelDensity` — Gaussian / tophat / Epanechnikov KDE whose
-  ``score_samples`` dispatches on the :class:`DensityBackend` protocol,
-  plus Scott's and Silverman's bandwidth rules.
-
-Backend selection (``KernelDensity(algorithm=...)``)
-----------------------------------------------------
-
-``"brute"`` evaluates blockwise pairwise distances and supports every
-kernel; it is always used for the Gaussian kernel, whose support is
-unbounded.  ``"kd_tree"`` and ``"grid"`` exploit compact kernels (tophat /
-Epanechnikov): only training points within one bandwidth contribute, so the
-kernel sum reduces to a batch radius query.  ``"auto"`` (the default) picks,
-for compact kernels on at least ``4 * leaf_size`` rows, the grid when the
-data has at most 3 dimensions and its cell box hashes into int64 keys, and
-the KD-tree otherwise; everything else scores brute.  Fitted structures are
-memoized across fits by a content-keyed LRU (:func:`get_backend` /
-:func:`clear_backend_cache`), so Algorithm 3 sweeps never rebuild an index
-for a partition they already profiled.
-
-The engine carries a *frozen-equivalence guarantee*, enforced by the
-equivalence suite in ``tests/test_density_engine.py`` against the seed
-per-row implementation preserved in :mod:`repro.density.reference`: the
-``kd_tree`` and ``grid`` backends return log-densities (and density ranks)
-bit-identical to the seed tree path — and to each other — while ``brute``
-is the seed blockwise code unchanged.  Across the brute/tree divide the two
-distance expansions agree to ulp precision, not bit for bit.
-``KernelDensity(dtype="float32")`` is an opt-in single-precision path for
-the distance kernels; the float64 default *is* the frozen reference, and the
-float32 path is gated on rank-equivalence against it (ranks are what
-Algorithm 3 consumes).
+* :class:`KernelDensity` — Gaussian / tophat / Epanechnikov KDE, plus
+  Scott's and Silverman's bandwidth rules.  ``score_samples`` evaluates the
+  whole query batch through :class:`BruteBackend`: blockwise pairwise
+  distances, the seed's code unchanged, so log-densities and density ranks
+  are bit-identical to the seed's (the test suite keeps the seed
+  implementation in ``tests/density_reference.py`` as its oracle).
+* Backends are memoized across fits by a content-keyed LRU
+  (:func:`get_backend` / :func:`clear_backend_cache`), so Algorithm 3
+  sweeps share one backend per partition.
 
 Thread safety
 -------------
@@ -50,10 +22,10 @@ profiling, ``run_repeated`` worker threads):
 * the module-level backend LRU behind :func:`get_backend` is guarded by a
   single lock around lookup/insert/evict and **deduplicates builds
   per key** — two threads profiling the same partition wait on one
-  construction instead of building the structure twice
+  construction instead of building the backend twice
   (:func:`backend_cache_stats` exposes hits/builds/evictions/waits);
-* fitted backends, :class:`KDTree`, and :class:`GridIndex` are immutable
-  after construction and safe to query from any number of threads;
+* fitted backends are immutable after construction and safe to query from
+  any number of threads;
 * a fitted :class:`KernelDensity` is safe for concurrent
   ``score_samples`` / ``density_rank`` calls.  ``fit`` itself mutates the
   estimator, so do not share one *unfitted* estimator across threads —
@@ -62,21 +34,13 @@ profiling, ``run_repeated`` worker threads):
 """
 
 from repro.density.backends import (
-    ALGORITHM_NAMES,
-    BACKEND_NAMES,
     BruteBackend,
-    DensityBackend,
-    GridBackend,
-    KDTreeBackend,
     backend_cache_size,
     backend_cache_stats,
     clear_backend_cache,
     get_backend,
-    resolve_algorithm,
 )
-from repro.density.grid import GridIndex
 from repro.density.kde import KernelDensity, scott_bandwidth, silverman_bandwidth
-from repro.density.kdtree import KDTree
 from repro.density.kernels import (
     COMPACT_KERNELS,
     epanechnikov_kernel,
@@ -86,15 +50,8 @@ from repro.density.kernels import (
 )
 
 __all__ = [
-    "ALGORITHM_NAMES",
-    "BACKEND_NAMES",
     "COMPACT_KERNELS",
     "BruteBackend",
-    "DensityBackend",
-    "GridBackend",
-    "GridIndex",
-    "KDTree",
-    "KDTreeBackend",
     "KernelDensity",
     "backend_cache_size",
     "backend_cache_stats",
@@ -103,7 +60,6 @@ __all__ = [
     "gaussian_kernel",
     "get_backend",
     "kernel_by_name",
-    "resolve_algorithm",
     "scott_bandwidth",
     "silverman_bandwidth",
     "tophat_kernel",

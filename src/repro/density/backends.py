@@ -1,88 +1,42 @@
-"""Pluggable, batch-first density-evaluation backends for ``KernelDensity``.
+"""Blockwise brute-force kernel sums for ``KernelDensity``, and their cache.
 
-A backend is a fitted structure over the training sample that evaluates, for
-a whole batch of query rows at once, the *unnormalized kernel sum*
+:class:`BruteBackend` holds the training sample and evaluates, for a whole
+batch of query rows at once, the *unnormalized kernel sum*
 
     ``S(x) = sum_i K(||x - x_i|| / h)``
 
+from blockwise pairwise distances, for every kernel
 (:class:`~repro.density.kde.KernelDensity` turns that into a normalized
-log-density).  Three backends implement the :class:`DensityBackend`
-protocol:
-
-``brute``
-    Blockwise pairwise distances against every training point.  Works for
-    every kernel; the only choice for the Gaussian kernel, whose support is
-    unbounded.
-``kd_tree``
-    The flat-array batch :class:`~repro.density.kdtree.KDTree`: compact
-    kernels (tophat / Epanechnikov) only touch training points within one
-    bandwidth, so the kernel sum is a vectorized radius query plus an exact
-    per-row reduction.
-``grid``
-    The :class:`~repro.density.grid.GridIndex` spatial hash with
-    bandwidth-sized cells: radius search becomes a ``3**d``-cell gather.
-    Only built for low-dimensional data (the stencil grows as ``3**d``).
-
-Each backend is **bit-identical** to the seed implementation's matching
-path: the tree and grid backends feed the exact same per-neighbour distances
-through the exact same per-row summation the seed tree path used (see
-:mod:`repro.density._flatops`) — making them bit-identical to each other as
-well — and the brute backend is the seed blockwise code unchanged.  Brute
-computes distances via a different (equally exact) expansion, so brute vs
-tree/grid sums agree to ulp precision rather than bit for bit.
+log-density).  It is the seed's blockwise code unchanged, so its sums are
+bit-identical to the seed's.
 
 Backends are memoized in a small module-level LRU keyed by a content
-fingerprint of the training sample plus the structure parameters, so
-repeated fits over the same partition — ConFair degree sweeps, Algorithm 3
-re-runs, profile rebuilds — never rebuild a tree or grid they already built.
+fingerprint of the training sample, so repeated fits over the same partition
+— ConFair degree sweeps, Algorithm 3 re-runs, profile rebuilds — share one
+backend.
 """
 
 from __future__ import annotations
 
-import abc
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.density._flatops import segment_sums
-from repro.density.grid import GridIndex
-from repro.density.kdtree import KDTree
-from repro.density.kernels import COMPACT_KERNELS, kernel_by_name
-from repro.exceptions import ValidationError
+from repro.density.kernels import kernel_by_name
 from repro.telemetry import get_registry as _get_telemetry_registry
 
-BACKEND_NAMES: Tuple[str, ...] = ("brute", "kd_tree", "grid")
-"""Concrete backend names a fitted ``KernelDensity`` may reference."""
 
-ALGORITHM_NAMES: Tuple[str, ...] = ("auto",) + BACKEND_NAMES
-"""Valid values of ``KernelDensity(algorithm=...)``."""
-
-_MAX_GRID_DIMS = 3
-"""``auto`` only picks the grid backend up to this dimensionality (3**d stencil)."""
-
-
-class DensityBackend(abc.ABC):
-    """Protocol for batch kernel-sum evaluation over a fixed training sample."""
-
-    name: ClassVar[str]
-
-    @abc.abstractmethod
-    def kernel_sums(self, X: np.ndarray, kernel: str, bandwidth: float) -> np.ndarray:
-        """Unnormalized kernel sums ``S(x)`` for every row of ``X``."""
-
-
-class BruteBackend(DensityBackend):
+class BruteBackend:
     """Blockwise brute-force evaluation (every kernel; the seed code path)."""
-
-    name = "brute"
 
     def __init__(self, training_data: np.ndarray) -> None:
         self._train = training_data
 
     def kernel_sums(self, X: np.ndarray, kernel: str, bandwidth: float) -> np.ndarray:
+        """Unnormalized kernel sums ``S(x)`` for every row of ``X``."""
         kernel_fn = kernel_by_name(kernel)
         train = self._train
         n_train = train.shape[0]
@@ -102,107 +56,12 @@ class BruteBackend(DensityBackend):
         return sums
 
 
-def _compact_kernel_sums(csr, kernel: str, bandwidth: float) -> np.ndarray:
-    """Kernel sums from CSR radius-neighbour output (compact kernels)."""
-    _, distances, indptr = csr
-    kernel_fn = kernel_by_name(kernel)
-    values = kernel_fn(distances / bandwidth)
-    return segment_sums(values, indptr)
-
-
-class KDTreeBackend(DensityBackend):
-    """Batch KD-tree radius search for compact kernels."""
-
-    name = "kd_tree"
-
-    def __init__(self, training_data: np.ndarray, leaf_size: int = 32) -> None:
-        self.tree = KDTree(training_data, leaf_size=leaf_size)
-
-    def kernel_sums(self, X: np.ndarray, kernel: str, bandwidth: float) -> np.ndarray:
-        if kernel not in COMPACT_KERNELS:
-            raise ValidationError(
-                f"the kd_tree density backend requires a compact kernel {COMPACT_KERNELS}, "
-                f"got {kernel!r}"
-            )
-        csr = self.tree.query_radius_csr(X, bandwidth)
-        return _compact_kernel_sums(csr, kernel, bandwidth)
-
-
-class GridBackend(DensityBackend):
-    """Grid-hash radius search for compact kernels (cells = one bandwidth)."""
-
-    name = "grid"
-
-    def __init__(self, training_data: np.ndarray, bandwidth: float) -> None:
-        self.grid = GridIndex(training_data, cell_size=bandwidth)
-
-    def kernel_sums(self, X: np.ndarray, kernel: str, bandwidth: float) -> np.ndarray:
-        if kernel not in COMPACT_KERNELS:
-            raise ValidationError(
-                f"the grid density backend requires a compact kernel {COMPACT_KERNELS}, "
-                f"got {kernel!r}"
-            )
-        csr = self.grid.query_radius_csr(X, bandwidth)
-        return _compact_kernel_sums(csr, kernel, bandwidth)
-
-
-# --------------------------------------------------------------------------
-# dispatch policy
-# --------------------------------------------------------------------------
-
-
-def resolve_algorithm(
-    algorithm: str,
-    kernel: str,
-    X: np.ndarray,
-    *,
-    leaf_size: int,
-    bandwidth: float,
-) -> str:
-    """Map a requested ``algorithm`` to the effective backend name.
-
-    * ``"brute"`` is honoured as-is.
-    * ``"kd_tree"`` falls back to brute for the Gaussian kernel (no compact
-      support to exploit — the seed behaved the same way).
-    * ``"grid"`` is an explicit request: a non-compact kernel or data whose
-      cell box cannot be hashed raises :class:`ValidationError`.
-    * ``"auto"`` picks, for compact kernels on ``n >= 4 * leaf_size`` rows,
-      the grid backend when the data is low-dimensional and hashable, the
-      KD-tree otherwise; everything else scores brute.
-    """
-    compact = kernel in COMPACT_KERNELS
-    if algorithm == "brute":
-        return "brute"
-    if algorithm == "kd_tree":
-        return "kd_tree" if compact else "brute"
-    if algorithm == "grid":
-        if not compact:
-            raise ValidationError(
-                f"algorithm='grid' requires a compact kernel {COMPACT_KERNELS}; "
-                f"got kernel={kernel!r}"
-            )
-        if not GridIndex.is_suitable(X, bandwidth):
-            raise ValidationError(
-                "algorithm='grid' is unsuitable for this data/bandwidth (the cell "
-                "coordinate box cannot be hashed); use 'kd_tree' or 'auto'"
-            )
-        return "grid"
-    if algorithm != "auto":
-        raise ValidationError(f"Unknown density algorithm {algorithm!r}; use {ALGORITHM_NAMES}")
-    n_samples, n_dims = X.shape
-    if compact and n_samples >= 4 * leaf_size:
-        if n_dims <= _MAX_GRID_DIMS and GridIndex.is_suitable(X, bandwidth):
-            return "grid"
-        return "kd_tree"
-    return "brute"
-
-
 # --------------------------------------------------------------------------
 # per-fit backend cache (shared across threads)
 # --------------------------------------------------------------------------
 
 _CACHE_CAPACITY = 16
-_CACHE: "OrderedDict[tuple, DensityBackend]" = OrderedDict()
+_CACHE: "OrderedDict[tuple, BruteBackend]" = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 """Guards every read/write of ``_CACHE``, ``_PENDING``, and ``_STATS``.
 
@@ -226,7 +85,7 @@ class _PendingBuild:
 
     def __init__(self) -> None:
         self.event = threading.Event()
-        self.backend: Optional[DensityBackend] = None
+        self.backend: Optional[BruteBackend] = None
         self.error: Optional[BaseException] = None
 
 
@@ -237,49 +96,21 @@ def _fingerprint(X: np.ndarray) -> Tuple[str, Tuple[int, ...], str]:
     return digest, data.shape, str(data.dtype)
 
 
-def _build_backend(
-    name: str, X: np.ndarray, leaf_size: int, bandwidth: Optional[float]
-) -> DensityBackend:
-    if name == "brute":
-        return BruteBackend(X)
-    if name == "kd_tree":
-        return KDTreeBackend(X, leaf_size=int(leaf_size))
-    return GridBackend(X, bandwidth=float(bandwidth))
+def get_backend(X: np.ndarray) -> BruteBackend:
+    """Build (or fetch from the shared LRU cache) the backend over ``X``.
 
-
-def get_backend(
-    name: str,
-    X: np.ndarray,
-    *,
-    leaf_size: int = 32,
-    bandwidth: Optional[float] = None,
-) -> DensityBackend:
-    """Build (or fetch from the shared LRU cache) the named backend over ``X``.
-
-    The cache key is the training sample's *content* (digest, shape, dtype)
-    plus the parameters that shape the structure (leaf size for trees, cell
-    size for grids), so two independent fits over the same partition share
-    one structure.
+    The cache key is the training sample's *content* (digest, shape,
+    dtype), so two independent fits over the same partition share one
+    backend, whatever their kernel or bandwidth.
 
     The cache is **thread-safe and build-deduplicating**: concurrent callers
     may use it freely (parallel partition profiling, ``run_repeated``
     worker threads), and when two threads request the same key while it is
-    being built, one builds and the other waits for the finished structure —
+    being built, one builds and the other waits for the finished backend —
     each key is built exactly once.  Backends themselves are immutable after
     construction and safe to share across threads.
     """
-    if name == "brute":
-        parameter: object = None
-    elif name == "kd_tree":
-        parameter = int(leaf_size)
-    elif name == "grid":
-        if bandwidth is None:
-            raise ValidationError("the grid backend needs the bandwidth to size its cells")
-        parameter = float(bandwidth)
-    else:
-        raise ValidationError(f"Unknown density backend {name!r}; available: {BACKEND_NAMES}")
-
-    key = (name, parameter, _fingerprint(X))
+    key = _fingerprint(X)
     with _CACHE_LOCK:
         backend = _CACHE.get(key)
         if backend is not None:
@@ -297,7 +128,7 @@ def get_backend(
 
     if not building:
         # Another thread is building this exact backend; wait for it rather
-        # than duplicating the (potentially expensive) construction.
+        # than duplicating the construction.
         pending.event.wait()
         if pending.error is not None:
             raise pending.error
@@ -305,7 +136,7 @@ def get_backend(
         return pending.backend
 
     try:
-        backend = _build_backend(name, X, leaf_size, bandwidth)
+        backend = BruteBackend(X)
     except BaseException as exc:
         pending.error = exc
         with _CACHE_LOCK:
@@ -328,7 +159,7 @@ def clear_backend_cache() -> None:
     """Drop every cached backend and reset the cache statistics.
 
     Mainly for tests and memory pressure.  In-flight builds are unaffected
-    (their waiters still receive the built backend); the built structures
+    (their waiters still receive the built backend); the built backends
     simply re-enter an empty cache.
     """
     with _CACHE_LOCK:

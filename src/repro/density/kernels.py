@@ -38,7 +38,7 @@ _KERNELS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 COMPACT_KERNELS = ("tophat", "epanechnikov")
-"""Kernels with support bounded by one bandwidth (spatial indexes apply)."""
+"""Kernels with support bounded by one bandwidth."""
 
 
 def kernel_by_name(name: str) -> Callable[[np.ndarray], np.ndarray]:

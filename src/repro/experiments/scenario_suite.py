@@ -16,7 +16,7 @@ from repro.datasets import load_dataset, split_dataset
 from repro.density.kde import KernelDensity
 from repro.experiments.reporting import FigureResult
 from repro.interventions import FairnessPipeline
-from repro.serving.cli import find_profile
+from repro.serving import find_profile
 from repro.simulate.suites import SuiteRunner
 
 

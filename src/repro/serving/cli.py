@@ -81,10 +81,7 @@ def emit_json(payload: Dict[str, object]) -> None:
     sys.stdout.write("\n")
 
 
-# find_profile now lives in repro.serving.artifacts (the mitigation
-# controller needs it without a CLI import); the name stays importable from
-# here for existing callers.
-__all__ = ["emit_json", "find_profile", "main", "parse_params"]
+__all__ = ["emit_json", "main", "parse_params"]
 
 
 # ---------------------------------------------------------------- commands

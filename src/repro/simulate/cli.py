@@ -39,8 +39,9 @@ from repro.datasets import available_datasets, load_dataset, split_dataset
 from repro.density.kde import KernelDensity
 from repro.exceptions import ReproError
 from repro.interventions import FairnessPipeline, available_interventions
+from repro.serving import find_profile
 from repro.serving.artifacts import load_artifact, save_artifact
-from repro.serving.cli import emit_json, find_profile, parse_params
+from repro.serving.cli import emit_json, parse_params
 from repro.serving.mitigation import save_audit_trail
 from repro.serving.monitor import MonitorThresholds
 from repro.simulate.registry import available_scenarios, describe_scenarios, make_scenario

@@ -87,8 +87,8 @@ class EventLog:
         self.enabled = bool(enabled)
         self.max_events = int(max_events)
         self._lock = threading.Lock()
-        # Insertion order is almost always sequence order (one writer per
-        # log), so eviction pops from the left; merge re-sorts canonically.
+        # Kept in canonical (sequence, kind, index) order, so eviction pops
+        # from the left.
         self._records: deque = deque()
         self._indices: Dict[Tuple[int, str], int] = {}
         self._evicted_through: Optional[int] = None
@@ -138,16 +138,20 @@ class EventLog:
                 "kind": kind,
                 "attributes": dict(attributes),
             }
-            self._records.append(record)
+            # One writer emits in nearly canonical order, so the insertion
+            # point is found walking back from the right end.
+            key = (sequence, kind, index)
+            position = len(self._records)
+            while position and _record_key(self._records[position - 1]) > key:
+                position -= 1
+            self._records.insert(position, record)
             self._n_emitted += 1
             self._evict_locked()
         return record
 
     def _evict_locked(self) -> None:
         while len(self._records) > self.max_events:
-            victim = min(self._records, key=_record_key)
-            self._records.remove(victim)
-            horizon = int(victim["sequence"])
+            horizon = int(self._records.popleft()["sequence"])
             if self._evicted_through is None or horizon > self._evicted_through:
                 self._evicted_through = horizon
 
@@ -176,7 +180,6 @@ class EventLog:
             snapshot = [record for record in snapshot if record["kind"] == kind]
         if since is not None:
             snapshot = [record for record in snapshot if record["sequence"] >= int(since)]
-        snapshot.sort(key=_record_key)
         return snapshot
 
     def tail(self, n: int = 20, *, kind: Optional[str] = None) -> List[Dict[str, Any]]:
@@ -200,7 +203,9 @@ class EventLog:
         state = _validate_state(state)
         with self._lock:
             self.max_events = int(state["max_events"])
-            self._records = deque(dict(record) for record in state["records"])
+            self._records = deque(
+                sorted((dict(record) for record in state["records"]), key=_record_key)
+            )
             self._indices = {}
             for record in self._records:
                 slot = (record["sequence"], record["kind"])

@@ -3,7 +3,7 @@
 The module-level LRU in :mod:`repro.density.backends` used to run its
 check-then-insert / ``move_to_end`` / eviction ``popitem`` sequence
 unsynchronized; concurrent fits could corrupt the ``OrderedDict`` or build
-the same spatial structure twice.  These tests pin down the fixed contract:
+the same backend twice.  These tests pin down the fixed contract:
 cache integrity under threaded load, exactly one build per key, correct
 results for every caller, and error propagation to build waiters.
 """
@@ -47,9 +47,7 @@ def test_hammer_same_key_builds_once():
 
     def worker() -> list:
         barrier.wait()
-        return [
-            get_backend("kd_tree", X, leaf_size=16) for _ in range(N_CALLS_PER_THREAD)
-        ]
+        return [get_backend(X) for _ in range(N_CALLS_PER_THREAD)]
 
     with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
         results = [f.result() for f in [pool.submit(worker) for _ in range(N_THREADS)]]
@@ -65,26 +63,23 @@ def test_hammer_same_key_builds_once():
 def test_hammer_slow_build_deduplicates():
     """A build in flight is awaited, not repeated (widened race window)."""
     X = _sample(1)
-    real_build = backends_module._build_backend
+    real_build = backends_module.BruteBackend
     started = threading.Event()
 
-    def slow_build(name, data, leaf_size, bandwidth):
+    def slow_build(data):
         started.set()
         # Keep the build in flight long enough for the other threads to
         # arrive while the key is pending.
         threading.Event().wait(0.05)
-        return real_build(name, data, leaf_size, bandwidth)
+        return real_build(data)
 
-    backends_module._build_backend = slow_build
+    backends_module.BruteBackend = slow_build
     try:
         with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
-            futures = [
-                pool.submit(get_backend, "kd_tree", X, leaf_size=16)
-                for _ in range(N_THREADS)
-            ]
+            futures = [pool.submit(get_backend, X) for _ in range(N_THREADS)]
             backends = [f.result() for f in futures]
     finally:
-        backends_module._build_backend = real_build
+        backends_module.BruteBackend = real_build
 
     assert len({id(b) for b in backends}) == 1
     stats = backend_cache_stats()
@@ -98,7 +93,7 @@ def test_hammer_mixed_keys_cache_integrity():
     samples = [_sample(seed + 10) for seed in range(n_keys)]
     expected = {}
     for seed, X in enumerate(samples):
-        backend = get_backend("kd_tree", X, leaf_size=16)
+        backend = get_backend(X)
         expected[seed] = backend.kernel_sums(X[:20], "epanechnikov", 0.8)
     clear_backend_cache()
 
@@ -106,7 +101,7 @@ def test_hammer_mixed_keys_cache_integrity():
         order = np.random.default_rng(thread_seed).permutation(n_keys)
         for seed in order:
             X = samples[seed]
-            backend = get_backend("kd_tree", X, leaf_size=16)
+            backend = get_backend(X)
             sums = backend.kernel_sums(X[:20], "epanechnikov", 0.8)
             np.testing.assert_array_equal(sums, expected[seed])
 
@@ -126,37 +121,35 @@ def test_hammer_mixed_keys_cache_integrity():
 def test_build_failure_propagates_to_waiters():
     """A failing build raises in the builder and every waiting thread."""
     X = _sample(2)
-    real_build = backends_module._build_backend
+    real_build = backends_module.BruteBackend
 
-    def failing_build(name, data, leaf_size, bandwidth):
+    def failing_build(data):
         threading.Event().wait(0.02)
         raise ValidationError("synthetic build failure")
 
-    backends_module._build_backend = failing_build
+    backends_module.BruteBackend = failing_build
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [
-                pool.submit(get_backend, "kd_tree", X, leaf_size=16) for _ in range(4)
-            ]
+            futures = [pool.submit(get_backend, X) for _ in range(4)]
             errors = []
             for future in futures:
                 with pytest.raises(ValidationError):
                     future.result()
                 errors.append(True)
     finally:
-        backends_module._build_backend = real_build
+        backends_module.BruteBackend = real_build
 
     assert len(errors) == 4
     assert not backends_module._PENDING, "failed builds must not leak pending entries"
     # The key is retryable once the failure cause is gone.
-    backend = get_backend("kd_tree", X, leaf_size=16)
-    assert backend is get_backend("kd_tree", X, leaf_size=16)
+    backend = get_backend(X)
+    assert backend is get_backend(X)
 
 
 def test_cache_stats_reset_on_clear():
     X = _sample(3)
-    get_backend("brute", X)
-    get_backend("brute", X)
+    get_backend(X)
+    get_backend(X)
     stats = backend_cache_stats()
     assert stats["builds"] == 1 and stats["hits"] == 1
     clear_backend_cache()

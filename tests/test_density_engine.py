@@ -1,26 +1,18 @@
-"""Equivalence, batch-query, and property tests for the batch density engine.
+"""Equivalence, cache, and property tests for the batch density engine.
 
-The central contract: every backend (``brute``, ``kd_tree``, ``grid``)
-returns log-densities and density ranks **bit-identical** to the frozen seed
-implementation in :mod:`repro.density.reference`, and the batch KD-tree /
-grid queries are exact.
+The central contract: ``KernelDensity`` returns log-densities and density
+ranks **bit-identical** to the frozen seed implementation kept in
+``tests/density_reference.py``, for every kernel.
 """
 
 import numpy as np
 import pytest
+from density_reference import ReferenceKernelDensity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.density import (
-    GridIndex,
-    KDTree,
-    KernelDensity,
-    backend_cache_size,
-    clear_backend_cache,
-    resolve_algorithm,
-)
-from repro.density.reference import ReferenceKDTree, ReferenceKernelDensity
-from repro.exceptions import ValidationError
+from repro.density import KernelDensity, backend_cache_size, clear_backend_cache
+from repro.density.kernels import log_normalization
 
 
 @pytest.fixture
@@ -34,258 +26,58 @@ def rng():
 
 
 class TestFrozenEquivalence:
-    @pytest.mark.parametrize("kernel", ["tophat", "epanechnikov"])
-    @pytest.mark.parametrize("n_dims", [1, 2, 4])
-    @pytest.mark.parametrize("bandwidth", [0.6, "scott"])
-    def test_kd_tree_bit_identical_to_seed(self, rng, kernel, n_dims, bandwidth):
-        X = rng.normal(size=(500, n_dims))
-        queries = rng.normal(size=(80, n_dims))
-        seed = ReferenceKernelDensity(
-            kernel=kernel, bandwidth=bandwidth, algorithm="kd_tree"
-        ).fit(X)
-        new = KernelDensity(kernel=kernel, bandwidth=bandwidth, algorithm="kd_tree").fit(X)
+    @pytest.mark.parametrize("kernel", ["gaussian", "tophat", "epanechnikov"])
+    def test_brute_bit_identical_to_seed(self, rng, kernel):
+        X = rng.normal(size=(300, 3))
+        queries = rng.normal(size=(60, 3))
+        seed = ReferenceKernelDensity(kernel=kernel, bandwidth=0.8).fit(X)
+        new = KernelDensity(kernel=kernel, bandwidth=0.8).fit(X)
         for target in (X, queries):
             np.testing.assert_array_equal(
                 new.score_samples(target), seed.score_samples(target)
             )
             np.testing.assert_array_equal(new.density_rank(target), seed.density_rank(target))
 
-    @pytest.mark.parametrize("kernel", ["tophat", "epanechnikov"])
-    @pytest.mark.parametrize("n_dims", [1, 2, 3])
-    def test_grid_bit_identical_to_seed(self, rng, kernel, n_dims):
-        X = rng.normal(size=(450, n_dims))
-        queries = rng.normal(size=(70, n_dims))
-        seed = ReferenceKernelDensity(kernel=kernel, bandwidth=0.5, algorithm="kd_tree").fit(X)
-        new = KernelDensity(kernel=kernel, bandwidth=0.5, algorithm="grid").fit(X)
-        assert new.algorithm_ == "grid"
-        for target in (X, queries):
-            np.testing.assert_array_equal(
-                new.score_samples(target), seed.score_samples(target)
-            )
-
-    @pytest.mark.parametrize("kernel", ["gaussian", "tophat", "epanechnikov"])
-    def test_brute_bit_identical_to_seed(self, rng, kernel):
-        X = rng.normal(size=(300, 3))
-        queries = rng.normal(size=(60, 3))
-        seed = ReferenceKernelDensity(kernel=kernel, bandwidth=0.8, algorithm="brute").fit(X)
-        new = KernelDensity(kernel=kernel, bandwidth=0.8, algorithm="brute").fit(X)
-        np.testing.assert_array_equal(
-            new.score_samples(queries), seed.score_samples(queries)
-        )
-
-    @pytest.mark.parametrize("kernel", ["gaussian", "tophat", "epanechnikov"])
-    @pytest.mark.parametrize("n_rows", [40, 400])
-    def test_auto_bit_identical_to_seed_auto(self, rng, kernel, n_rows):
-        # auto may now resolve to the grid backend where the seed picked the
-        # tree, but the scores must stay bit-identical regardless.
-        X = rng.normal(size=(n_rows, 2))
-        queries = rng.normal(size=(50, 2))
-        seed = ReferenceKernelDensity(kernel=kernel, algorithm="auto").fit(X)
-        new = KernelDensity(kernel=kernel, algorithm="auto").fit(X)
-        np.testing.assert_array_equal(
-            new.score_samples(queries), seed.score_samples(queries)
-        )
-
     def test_zero_density_rows_score_negative_infinity(self, rng):
         X = rng.normal(size=(200, 2))
         far = np.full((3, 2), 50.0)
-        for algorithm in ("brute", "kd_tree", "grid"):
-            kde = KernelDensity(kernel="tophat", bandwidth=0.5, algorithm=algorithm).fit(X)
-            assert np.all(np.isneginf(kde.score_samples(far)))
+        kde = KernelDensity(kernel="tophat", bandwidth=0.5).fit(X)
+        assert np.all(np.isneginf(kde.score_samples(far)))
 
 
 # ---------------------------------------------------------------------------
-# batch queries are exact
+# the backend cache
 # ---------------------------------------------------------------------------
-
-
-class TestBatchQueries:
-    def test_query_radius_batch_matches_brute_force(self, rng):
-        X = rng.normal(size=(400, 3))
-        queries = rng.normal(size=(50, 3))
-        tree = KDTree(X, leaf_size=8)
-        neighbours = tree.query_radius_batch(queries, 0.9)
-        assert len(neighbours) == len(queries)
-        for i, query in enumerate(queries):
-            brute = np.flatnonzero(np.linalg.norm(X - query, axis=1) <= 0.9)
-            np.testing.assert_array_equal(neighbours[i], brute)
-
-    def test_query_radius_batch_matches_seed_tree(self, rng):
-        X = rng.normal(size=(300, 2))
-        queries = rng.normal(size=(40, 2))
-        tree = KDTree(X, leaf_size=8)
-        seed = ReferenceKDTree(X, leaf_size=8)
-        neighbours = tree.query_radius_batch(queries, 0.7)
-        for i, query in enumerate(queries):
-            np.testing.assert_array_equal(neighbours[i], seed.query_radius(query, 0.7))
-
-    def test_query_radius_csr_layout(self, rng):
-        X = rng.normal(size=(200, 2))
-        queries = rng.normal(size=(30, 2))
-        tree = KDTree(X, leaf_size=8)
-        points, distances, indptr = tree.query_radius_csr(queries, 0.8)
-        assert indptr[0] == 0 and indptr[-1] == points.size == distances.size
-        assert np.all(np.diff(indptr) >= 0)
-        for i in range(len(queries)):
-            segment = points[indptr[i] : indptr[i + 1]]
-            assert np.all(np.diff(segment) > 0)  # strictly ascending indices
-        assert np.all(distances <= 0.8)
-
-    def test_query_batch_matches_brute_force_knn(self, rng):
-        X = rng.normal(size=(350, 3))
-        queries = rng.normal(size=(40, 3))
-        tree = KDTree(X, leaf_size=8)
-        distances, indices = tree.query_batch(queries, k=7)
-        assert distances.shape == indices.shape == (40, 7)
-        for i, query in enumerate(queries):
-            all_dist = np.linalg.norm(X - query, axis=1)
-            expected = set(np.argsort(all_dist, kind="stable")[:7].tolist())
-            assert set(indices[i].tolist()) == expected
-            assert np.all(np.diff(distances[i]) >= 0)
-
-    def test_query_batch_k_equals_n(self, rng):
-        X = rng.normal(size=(25, 2))
-        distances, indices = KDTree(X, leaf_size=4).query_batch(rng.normal(size=(5, 2)), k=25)
-        for row in indices:
-            assert sorted(row.tolist()) == list(range(25))
-        assert np.all(np.diff(distances, axis=1) >= 0)
-
-    def test_empty_query_batches(self, rng):
-        X = rng.normal(size=(60, 2))
-        tree = KDTree(X, leaf_size=8)
-        grid = GridIndex(X, cell_size=0.5)
-        empty = np.empty((0, 2))
-        assert tree.query_radius_batch(empty, 0.5) == []
-        assert grid.query_radius_batch(empty, 0.5) == []
-        points, distances, indptr = tree.query_radius_csr(empty, 0.5)
-        assert points.size == distances.size == 0 and indptr.tolist() == [0]
-        knn_dist, knn_idx = tree.query_batch(empty, k=3)
-        assert knn_dist.shape == knn_idx.shape == (0, 3)
-        kde = KernelDensity(kernel="tophat", bandwidth=0.5, algorithm="kd_tree").fit(X)
-        with pytest.raises(ValidationError):
-            kde.score_samples(empty)  # check_array rejects empty matrices
-
-    def test_batch_validation(self, rng):
-        tree = KDTree(rng.normal(size=(50, 3)))
-        with pytest.raises(ValidationError):
-            tree.query_radius_batch(np.zeros((4, 2)), 1.0)
-        with pytest.raises(ValidationError):
-            tree.query_radius_batch(np.zeros((4, 3)), -1.0)
-        with pytest.raises(ValidationError):
-            tree.query_batch(np.full((4, 3), np.nan), k=1)
-        with pytest.raises(ValidationError):
-            tree.query_batch(np.zeros((4, 3)), k=0)
-
-
-class TestGridIndex:
-    def test_matches_brute_force(self, rng):
-        X = rng.normal(size=(400, 2))
-        queries = rng.normal(size=(60, 2))
-        grid = GridIndex(X, cell_size=0.6)
-        neighbours = grid.query_radius_batch(queries, 0.6)
-        for i, query in enumerate(queries):
-            brute = np.flatnonzero(np.linalg.norm(X - query, axis=1) <= 0.6)
-            np.testing.assert_array_equal(neighbours[i], brute)
-
-    def test_radius_above_cell_size_rejected(self, rng):
-        grid = GridIndex(rng.normal(size=(50, 2)), cell_size=0.5)
-        with pytest.raises(ValidationError):
-            grid.query_radius_batch(np.zeros((2, 2)), 0.75)
-
-    def test_far_and_extreme_queries_have_no_neighbours(self, rng):
-        grid = GridIndex(rng.normal(size=(100, 2)), cell_size=0.5)
-        far = np.array([[25.0, -40.0], [1e250, -1e250]])
-        neighbours = grid.query_radius_batch(far, 0.5)
-        assert all(found.size == 0 for found in neighbours)
-
-    def test_duplicate_points_supported(self):
-        grid = GridIndex(np.zeros((30, 2)), cell_size=1.0)
-        found = grid.query_radius_batch(np.zeros((1, 2)), 0.5)[0]
-        np.testing.assert_array_equal(found, np.arange(30))
-
-    def test_invalid_cell_size(self, rng):
-        with pytest.raises(ValidationError):
-            GridIndex(rng.normal(size=(10, 2)), cell_size=0.0)
-
-    def test_unsuitable_data_rejected(self):
-        # Two points an astronomical distance apart: the cell box cannot be
-        # flattened into int64 keys.
-        points = np.array([[0.0, 0.0], [1e18, 1e18]])
-        assert not GridIndex.is_suitable(points, 1e-3)
-        with pytest.raises(ValidationError):
-            GridIndex(points, cell_size=1e-3)
-
-
-# ---------------------------------------------------------------------------
-# dispatch policy and the backend cache
-# ---------------------------------------------------------------------------
-
-
-class TestBackendDispatch:
-    def test_gaussian_always_scores_brute(self, rng):
-        X = rng.normal(size=(400, 2))
-        for algorithm in ("auto", "kd_tree", "brute"):
-            kde = KernelDensity(kernel="gaussian", algorithm=algorithm).fit(X)
-            assert kde.algorithm_ == "brute"
-
-    def test_grid_requires_compact_kernel(self, rng):
-        with pytest.raises(ValidationError):
-            KernelDensity(kernel="gaussian", algorithm="grid").fit(rng.normal(size=(200, 2)))
-
-    def test_auto_picks_grid_tree_and_brute(self, rng):
-        small = rng.normal(size=(40, 2))
-        low_dim = rng.normal(size=(400, 2))
-        high_dim = rng.normal(size=(400, 6))
-        assert KernelDensity(kernel="tophat", algorithm="auto").fit(small).algorithm_ == "brute"
-        assert KernelDensity(kernel="tophat", algorithm="auto").fit(low_dim).algorithm_ == "grid"
-        assert (
-            KernelDensity(kernel="tophat", algorithm="auto").fit(high_dim).algorithm_
-            == "kd_tree"
-        )
-
-    def test_unknown_algorithm_rejected(self, rng):
-        with pytest.raises(ValidationError):
-            KernelDensity(algorithm="quantum").fit(rng.normal(size=(10, 2)))
-
-    def test_resolve_algorithm_explicit_grid_unsuitable(self):
-        points = np.array([[0.0, 0.0], [1e18, 1e18]])
-        with pytest.raises(ValidationError):
-            resolve_algorithm("grid", "tophat", points, leaf_size=32, bandwidth=1e-3)
 
 
 class TestBackendCache:
     def test_refits_share_the_structure(self, rng):
         clear_backend_cache()
         X = rng.normal(size=(300, 2))
-        first = KernelDensity(kernel="tophat", bandwidth=0.5, algorithm="kd_tree").fit(X)
-        second = KernelDensity(kernel="tophat", bandwidth=0.5, algorithm="kd_tree").fit(
-            X.copy()
-        )
+        first = KernelDensity(kernel="tophat", bandwidth=0.5).fit(X)
+        second = KernelDensity(kernel="tophat", bandwidth=0.5).fit(X.copy())
         assert first._backend is second._backend
         assert backend_cache_size() == 1
 
-    def test_different_parameters_build_different_structures(self, rng):
+    def test_kernel_and_bandwidth_share_the_structure(self, rng):
+        # The cache key is the training sample's content alone.
         clear_backend_cache()
         X = rng.normal(size=(300, 2))
-        first = KernelDensity(
-            kernel="tophat", bandwidth=0.5, algorithm="kd_tree", leaf_size=16
-        ).fit(X)
-        second = KernelDensity(
-            kernel="tophat", bandwidth=0.5, algorithm="kd_tree", leaf_size=64
-        ).fit(X)
-        assert first._backend is not second._backend
-        assert backend_cache_size() == 2
+        first = KernelDensity(kernel="tophat", bandwidth=0.5).fit(X)
+        second = KernelDensity(kernel="gaussian", bandwidth="scott").fit(X)
+        assert first._backend is second._backend
+        assert backend_cache_size() == 1
 
     def test_different_data_builds_different_structures(self, rng):
         clear_backend_cache()
-        kde = KernelDensity(kernel="tophat", bandwidth=0.5, algorithm="kd_tree")
+        kde = KernelDensity(kernel="tophat", bandwidth=0.5)
         first = kde.fit(rng.normal(size=(200, 2)))._backend
         second = kde.fit(rng.normal(size=(200, 2)))._backend
         assert first is not second
 
 
 # ---------------------------------------------------------------------------
-# analytic regression pin and backend-invariance properties
+# analytic regression pin and rank properties
 # ---------------------------------------------------------------------------
 
 
@@ -307,7 +99,7 @@ class TestAnalyticRegression:
 
 # Discrete coordinates force duplicate rows (exact ties) while the 0.7
 # bandwidth sits far (>= 0.007) from every attainable inter-point distance,
-# so no backend can disagree on neighbourhood membership at the boundary.
+# so a compact kernel's neighbourhood membership is never decided by an ulp.
 _TIED_COORDS = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
 
 
@@ -318,7 +110,7 @@ class TestBackendInvariance:
         n_rows=st.integers(min_value=8, max_value=40),
         n_dims=st.integers(min_value=1, max_value=3),
     )
-    def test_density_rank_invariant_across_all_backends_tophat(self, data, n_rows, n_dims):
+    def test_density_rank_matches_seed_on_tie_heavy_data(self, data, n_rows, n_dims):
         rows = data.draw(
             st.lists(
                 st.lists(_TIED_COORDS, min_size=n_dims, max_size=n_dims),
@@ -327,58 +119,24 @@ class TestBackendInvariance:
             )
         )
         X = np.asarray(rows, dtype=np.float64)
-        ranks = [
-            KernelDensity(kernel="tophat", bandwidth=0.7, algorithm=algorithm)
-            .fit(X)
-            .density_rank(X)
-            for algorithm in ("brute", "kd_tree", "grid")
-        ]
-        np.testing.assert_array_equal(ranks[0], ranks[1])
-        np.testing.assert_array_equal(ranks[0], ranks[2])
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        data=st.data(),
-        n_rows=st.integers(min_value=8, max_value=40),
-        n_dims=st.integers(min_value=1, max_value=3),
-    )
-    def test_density_rank_identical_between_tree_and_grid_epanechnikov(
-        self, data, n_rows, n_dims
-    ):
-        rows = data.draw(
-            st.lists(
-                st.lists(_TIED_COORDS, min_size=n_dims, max_size=n_dims),
-                min_size=n_rows,
-                max_size=n_rows,
-            )
-        )
-        X = np.asarray(rows, dtype=np.float64)
-        tree = KernelDensity(kernel="epanechnikov", bandwidth=0.7, algorithm="kd_tree").fit(X)
-        grid = KernelDensity(kernel="epanechnikov", bandwidth=0.7, algorithm="grid").fit(X)
-        np.testing.assert_array_equal(tree.score_samples(X), grid.score_samples(X))
-        np.testing.assert_array_equal(tree.density_rank(X), grid.density_rank(X))
+        for kernel in ("gaussian", "tophat", "epanechnikov"):
+            new = KernelDensity(kernel=kernel, bandwidth=0.7).fit(X)
+            seed = ReferenceKernelDensity(kernel=kernel, bandwidth=0.7).fit(X)
+            np.testing.assert_array_equal(new.density_rank(X), seed.density_rank(X))
 
     def test_density_rank_consistent_on_continuous_data(self, rng):
-        # kd_tree and grid share the exact same arithmetic, so their ranks are
-        # identical even through ties; brute computes distances via a different
-        # (ulp-divergent) expansion, so it is compared up to tied groups.
+        # The blockwise expansion ||a||^2 + ||b||^2 - 2 a.b and direct
+        # differences agree to ulp precision, so ranks agree wherever the
+        # density is not tied with another row.
         X = rng.normal(size=(250, 2))
-        fitted = {
-            algorithm: KernelDensity(
-                kernel="epanechnikov", bandwidth=0.6, algorithm=algorithm
-            ).fit(X)
-            for algorithm in ("brute", "kd_tree", "grid")
-        }
-        np.testing.assert_array_equal(
-            fitted["kd_tree"].density_rank(X), fitted["grid"].density_rank(X)
+        kde = KernelDensity(kernel="epanechnikov", bandwidth=0.6).fit(X)
+        scaled = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2) / 0.6
+        direct = np.log(np.maximum(0.0, 1.0 - scaled**2).sum(axis=1) / len(X)) + (
+            log_normalization("epanechnikov", 0.6, 2)
         )
-        scores_brute = fitted["brute"].score_samples(X)
-        scores_tree = fitted["kd_tree"].score_samples(X)
-        np.testing.assert_allclose(scores_brute, scores_tree, rtol=1e-12)
-        # Ranks agree wherever the density is not tied with another row.
-        unique_scores, counts = np.unique(scores_tree, return_counts=True)
-        untied = np.isin(scores_tree, unique_scores[counts == 1])
-        np.testing.assert_array_equal(
-            fitted["brute"].density_rank(X)[untied],
-            fitted["kd_tree"].density_rank(X)[untied],
-        )
+        np.testing.assert_allclose(kde.score_samples(X), direct, rtol=1e-12)
+        unique_scores, counts = np.unique(direct, return_counts=True)
+        untied = np.isin(direct, unique_scores[counts == 1])
+        direct_ranks = np.empty(len(X), dtype=np.int64)
+        direct_ranks[np.argsort(-direct, kind="mergesort")] = np.arange(len(X))
+        np.testing.assert_array_equal(kde.density_rank(X)[untied], direct_ranks[untied])

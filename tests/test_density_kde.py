@@ -76,13 +76,6 @@ class TestKernelDensity:
         sparse_score = kde.score_samples(np.array([[5.0, 5.0]]))[0]
         assert dense_score > sparse_score
 
-    def test_tree_and_brute_backends_agree(self, rng):
-        X = rng.normal(size=(500, 2))
-        query = rng.normal(size=(40, 2))
-        brute = KernelDensity(kernel="tophat", bandwidth=1.0, algorithm="brute").fit(X)
-        tree = KernelDensity(kernel="tophat", bandwidth=1.0, algorithm="kd_tree").fit(X)
-        assert np.allclose(brute.score_samples(query), tree.score_samples(query))
-
     def test_density_rank(self, rng):
         X = np.vstack([rng.normal(0, 0.2, size=(100, 2)), np.array([[10.0, 10.0]])])
         kde = KernelDensity().fit(X)
@@ -97,10 +90,6 @@ class TestKernelDensity:
     def test_invalid_bandwidth_rule(self, rng):
         with pytest.raises(ValidationError):
             KernelDensity(bandwidth="magic").fit(rng.normal(size=(10, 2)))
-
-    def test_invalid_algorithm(self, rng):
-        with pytest.raises(ValidationError):
-            KernelDensity(algorithm="quantum").fit(rng.normal(size=(10, 2)))
 
     def test_score_before_fit(self):
         with pytest.raises(NotFittedError):

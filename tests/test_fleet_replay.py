@@ -16,8 +16,7 @@ from repro.datasets import make_drifted_groups, split_dataset
 from repro.fleet import compare_sharded_replay, diff_replay_results
 from repro.fleet.service import FleetService
 from repro.interventions import FairnessPipeline
-from repro.serving import MonitorThresholds, PredictionService
-from repro.serving.cli import find_profile
+from repro.serving import MonitorThresholds, PredictionService, find_profile
 from repro.simulate import SuiteRunner, make_scenario
 from repro.simulate.replay import ReplayHarness
 from repro.simulate.stream import TrafficStream

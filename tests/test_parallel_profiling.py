@@ -4,9 +4,7 @@ The contract of ``n_jobs`` everywhere it appears (``profile_partitions``,
 ``density_filter`` / ``partition_density_ranks``, ConFair/DiffFair fits, the
 pipeline's ``fit_n_jobs``) is **bit-identical** output: partitions are
 independent and results are assembled in deterministic partition order,
-never completion order.  The float32 distance-kernel path is gated here too:
-its guarantee is rank-equivalence against the float64 reference, because
-density *ranks* are what Algorithm 3 consumes.
+never completion order.
 """
 
 from __future__ import annotations
@@ -17,16 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.confair import ConFair
-from repro.core.density_filter import (
-    density_filter,
-    density_filter_indices,
-    iter_group_label_partitions,
-    partition_density_ranks,
-)
+from repro.core.density_filter import density_filter, partition_density_ranks
 from repro.core.diffair import DiffFair
 from repro.core.partitions import profile_partitions
 from repro.datasets import make_drifted_groups
-from repro.density import KernelDensity, clear_backend_cache
+from repro.density import clear_backend_cache
 from repro.exceptions import ValidationError
 from repro.interventions.pipeline import FairnessPipeline
 from repro.utils.parallel import resolve_n_jobs, thread_map
@@ -161,43 +154,6 @@ class TestInterventionFitParallel:
         # "kam" accepts no n_jobs; fit_n_jobs must be dropped, not crash.
         result = FairnessPipeline("kam", dataset=drifted_split, fit_n_jobs=4).run()
         assert result.predictions.shape[0] == drifted_split.deploy.n_samples
-
-
-class TestFloat32RankGate:
-    """The float32 distance-kernel path is admitted on rank-equivalence only."""
-
-    def test_float32_ranks_match_reference(self, drifted_dataset):
-        for _, rows in iter_group_label_partitions(
-            drifted_dataset.group, drifted_dataset.y
-        ):
-            X = drifted_dataset.numeric_X[rows]
-            reference = KernelDensity(dtype="float64").fit(X)
-            fast = KernelDensity(dtype="float32").fit(X)
-            assert fast.training_data_.dtype == np.float32
-            assert reference.training_data_.dtype == np.float64
-            np.testing.assert_array_equal(
-                reference.density_rank(X), fast.density_rank(X)
-            )
-
-    def test_float32_filter_keeps_reference_rows(self, drifted_dataset):
-        X = drifted_dataset.numeric_X
-        reference = density_filter_indices(X, density_fraction=0.2)
-        fast = density_filter_indices(X, density_fraction=0.2, dtype="float32")
-        np.testing.assert_array_equal(reference, fast)
-
-    def test_float32_log_densities_are_close_not_identical_dtype(self, drifted_dataset):
-        X = drifted_dataset.numeric_X
-        reference = KernelDensity().fit(X).score_samples(X)
-        fast = KernelDensity(dtype="float32").fit(X).score_samples(X)
-        assert fast.dtype == np.float64  # output contract stays float64
-        np.testing.assert_allclose(fast, reference, rtol=1e-4)
-
-    def test_unknown_dtype_rejected(self, drifted_dataset):
-        with pytest.raises(ValidationError):
-            KernelDensity(dtype="float16").fit(drifted_dataset.numeric_X)
-
-    def test_default_is_frozen_float64(self):
-        assert KernelDensity().dtype == "float64"
 
 
 class TestThreadMapContract:

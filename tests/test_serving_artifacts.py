@@ -196,17 +196,16 @@ class TestManifest:
 
 
 class TestKernelDensityRoundTrip:
-    """A fitted KDE (including its resolved backend) round-trips bit-identically."""
+    """A fitted KDE round-trips bit-identically."""
 
-    @pytest.mark.parametrize("algorithm", ["brute", "kd_tree", "grid"])
-    def test_score_samples_bit_identical(self, tmp_path, algorithm):
+    @pytest.mark.parametrize("kernel", ["gaussian", "tophat", "epanechnikov"])
+    def test_score_samples_bit_identical(self, tmp_path, kernel):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(300, 2))
         queries = rng.normal(size=(40, 2))
-        kde = KernelDensity(kernel="tophat", bandwidth=0.5, algorithm=algorithm).fit(X)
+        kde = KernelDensity(kernel=kernel, bandwidth=0.5).fit(X)
         loaded = load_artifact(save_artifact(kde, tmp_path / "kde"))
         assert isinstance(loaded, KernelDensity)
-        assert loaded.algorithm_ == kde.algorithm_ == algorithm
         np.testing.assert_array_equal(
             loaded.score_samples(queries), kde.score_samples(queries)
         )
@@ -220,21 +219,16 @@ class TestKernelDensityRoundTrip:
         assert loaded.bandwidth_ == kde.bandwidth_
         np.testing.assert_array_equal(loaded.score_samples(X), kde.score_samples(X))
 
-    def test_unknown_backend_raises_artifact_error(self, tmp_path):
-        """A manifest naming a density backend this build lacks fails loudly."""
+    def test_removed_algorithm_param_fails_to_load(self, tmp_path):
+        """KDE artifacts that still carry the ``algorithm`` param (removed in
+        3.0.0) are refused, not silently migrated."""
         rng = np.random.default_rng(13)
         kde = KernelDensity(kernel="tophat", bandwidth=0.5).fit(rng.normal(size=(200, 2)))
         path = save_artifact(kde, tmp_path / "kde")
         manifest = read_manifest(path)
-        state = manifest["root"]["value"]["state"]
-        patched = False
-        for pair in state["items"]:
-            if pair[0] == "algorithm_":
-                pair[1] = "hyper_octree"
-                patched = True
-        assert patched, "fitted KDE state should persist the resolved backend"
+        manifest["root"]["value"]["params"]["items"].append(["algorithm", "auto"])
         (path / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
-        with pytest.raises(ArtifactError, match="hyper_octree"):
+        with pytest.raises(ArtifactError, match="algorithm"):
             load_artifact(path)
 
 

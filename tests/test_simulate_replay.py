@@ -15,8 +15,7 @@ from repro import FairnessPipeline
 from repro.datasets import load_dataset, split_dataset
 from repro.density import KernelDensity
 from repro.exceptions import SimulationError
-from repro.serving import PredictionService, save_artifact
-from repro.serving.cli import find_profile
+from repro.serving import PredictionService, find_profile, save_artifact
 from repro.simulate import (
     ReplayHarness,
     SuiteRunner,

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 from repro.exceptions import TelemetryError
 from repro.serving.monitor import FairnessMonitor, MonitorThresholds
 from repro.telemetry import EVENT_KINDS, EventLog
+from repro.telemetry import events as events_module
+from repro.telemetry.events import _record_key
 
 SETTINGS = settings(
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -92,6 +94,42 @@ class TestEventLogBasics:
         log.emit("channel_snapshot", sequence=0, report={"alarmed": []})
         clone = EventLog().load_state_dict(log.state_dict())
         assert clone.state_dict() == log.state_dict()
+
+    def test_emit_into_a_full_log_does_constant_work(self, monkeypatch):
+        """Eviction pops the lowest key instead of re-scanning the whole log."""
+        log = EventLog(enabled=True, max_events=8192)
+        for sequence in range(8192):
+            log.emit("request", sequence=sequence)
+        budget = 4 * 1000  # key computations for the 1,000 emits below
+        computed = [0]
+
+        def counting_key(record):
+            computed[0] += 1
+            assert computed[0] <= budget, "emit re-scans the full log"
+            return _record_key(record)
+
+        monkeypatch.setattr(events_module, "_record_key", counting_key)
+        for sequence in range(8192, 9192):
+            log.emit("request", sequence=sequence)
+        assert len(log) == 8192
+        assert log.evicted_through == 999
+
+    @SETTINGS
+    @given(
+        drawn=st.lists(
+            st.tuples(st.integers(min_value=-1, max_value=15), st.sampled_from(EVENT_KINDS)),
+            max_size=80,
+        ),
+        max_events=st.integers(min_value=1, max_value=40),
+    )
+    def test_out_of_order_emits_keep_the_largest_keys(self, drawn, max_events):
+        log = EventLog(enabled=True, max_events=max_events)
+        emitted = [log.emit(kind, sequence=sequence) for sequence, kind in drawn]
+        keys = sorted(_record_key(record) for record in emitted)
+        n_dropped = max(len(keys) - max_events, 0)
+        assert [_record_key(record) for record in log.records()] == keys[n_dropped:]
+        dropped = [sequence for sequence, _, _ in keys[:n_dropped]]
+        assert log.evicted_through == (max(dropped) if dropped else None)
 
 
 class TestExactMerge:
