@@ -103,19 +103,18 @@ class GradientBoostingClassifier(BaseClassifier):
             probabilities = _sigmoid(scores)
             residuals = y - probabilities  # negative gradient of logistic loss
 
-            if self.subsample < 1.0:
-                sample_size = max(1, int(round(self.subsample * n_samples)))
-                indices = rng.choice(n_samples, size=sample_size, replace=False)
-            else:
-                indices = np.arange(n_samples)
-
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 max_candidate_thresholds=self.max_candidate_thresholds,
             )
-            tree.fit(X[indices], residuals[indices], sample_weight=weights[indices])
-            scores = scores + self.learning_rate * tree.predict(X)
+            if self.subsample < 1.0:
+                sample_size = max(1, int(round(self.subsample * n_samples)))
+                indices = rng.choice(n_samples, size=sample_size, replace=False)
+                tree.fit(X[indices], residuals[indices], sample_weight=weights[indices])
+            else:
+                tree.fit(X, residuals, sample_weight=weights)
+            scores = scores + self.learning_rate * tree._walk(X)
             self.estimators_.append(tree)
 
             loss = float(np.mean(weights * (np.logaddexp(0.0, scores) - y * scores)))
@@ -125,17 +124,22 @@ class GradientBoostingClassifier(BaseClassifier):
         self.classes_ = np.array([0, 1])
         return self
 
-    def decision_function(self, X) -> np.ndarray:
-        """Return the additive-model log-odds for every row of ``X``."""
+    def _check_X(self, X) -> np.ndarray:
+        """Validate ``X`` once for every tree: finite, and as wide as at fit."""
         self._check_fitted("estimators_")
         X = check_array(X, name="X")
         if X.shape[1] != self.n_features_:
             raise ValueError(
                 f"X has {X.shape[1]} features, model was fitted with {self.n_features_}"
             )
+        return X
+
+    def decision_function(self, X) -> np.ndarray:
+        """Return the additive-model log-odds for every row of ``X``."""
+        X = self._check_X(X)
         scores = np.full(X.shape[0], self.init_score_, dtype=np.float64)
         for tree in self.estimators_:
-            scores += self.learning_rate * tree.predict(X)
+            scores += self.learning_rate * tree._walk(X)
         return scores
 
     def predict_proba(self, X) -> np.ndarray:
@@ -145,11 +149,10 @@ class GradientBoostingClassifier(BaseClassifier):
 
     def staged_decision_function(self, X) -> np.ndarray:
         """Return log-odds after each boosting round, shape ``(n_estimators, n_samples)``."""
-        self._check_fitted("estimators_")
-        X = check_array(X, name="X")
+        X = self._check_X(X)
         scores = np.full(X.shape[0], self.init_score_, dtype=np.float64)
         stages = np.empty((len(self.estimators_), X.shape[0]), dtype=np.float64)
         for i, tree in enumerate(self.estimators_):
-            scores = scores + self.learning_rate * tree.predict(X)
+            scores = scores + self.learning_rate * tree._walk(X)
             stages[i] = scores
         return stages

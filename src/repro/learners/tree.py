@@ -7,10 +7,24 @@ Two public estimators live here:
 * :class:`DecisionTreeClassifier` — a thin classification wrapper fitting a
   regression tree on 0/1 labels and thresholding the predicted mean.
 
-Split search is exact over a bounded number of candidate thresholds per
-feature (quantile-based when a feature has many distinct values), which keeps
-tree construction fast enough for the benchmark datasets while behaving like
-an ordinary CART tree on small data.
+Split search is exact CART over a bounded number of candidate thresholds per
+feature: every boundary between distinct values, or ``max_candidate_thresholds``
+evenly spaced ones when a feature has more.  It is the exact greedy search of
+XGBoost (Chen & Guestrin, KDD 2016):
+
+* every column is sorted once per fit (a stable argsort), and each child
+  inherits its parent's per-feature row order filtered to the child's rows,
+  which is the order a stable argsort of the child's rows would give;
+* a node scores its features in fixed blocks of 32 columns, with prefix sums
+  of ``w``, ``w*y`` and ``w*y**2`` along each sorted column and gains computed
+  at the candidate positions only;
+* the winner is the first maximum in (feature, position) order, and a later
+  block wins only on a strictly greater gain.
+
+Those are the summation order and the tie rule of a loop that sorts and scores
+one feature at a time, so the trees equal that loop's byte for byte
+(``tests/tree_reference.py`` keeps it as the test oracle).  ``predict`` walks
+the flattened node arrays, advancing every row one level per vectorized step.
 """
 
 from __future__ import annotations
@@ -99,6 +113,27 @@ def _unflatten_tree(flat: dict) -> _TreeNode:
     return nodes[0]
 
 
+_BLOCK_COLUMNS = 32  # features scored per vectorized step; bounds the temporaries
+
+
+def _thin_boundaries(boundary: np.ndarray, cap: int) -> None:
+    """Keep ``cap`` evenly spaced boundaries in every row of ``boundary`` that has more.
+
+    Row ``i`` with ``k > cap`` boundaries keeps those whose rank among its
+    boundaries is in ``int(np.linspace(0, k - 1, cap))``; ``boundary`` is
+    updated in place.
+    """
+    counts = boundary.sum(axis=1)
+    over = np.flatnonzero(counts > cap)
+    if over.size == 0:
+        return
+    picks = np.linspace(0, counts[over] - 1, cap).astype(int)
+    keep = np.zeros((over.size, boundary.shape[1]), dtype=bool)
+    keep[np.arange(over.size), picks] = True
+    rank = np.cumsum(boundary[over], axis=1) - 1
+    boundary[over] &= np.take_along_axis(keep, np.maximum(rank, 0), axis=1)
+
+
 def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
     total = weights.sum()
     if total <= 0:
@@ -146,97 +181,121 @@ class DecisionTreeRegressor(BaseEstimator):
         y = np.asarray(y, dtype=np.float64).ravel()
         weights = check_sample_weight(sample_weight, X.shape[0])
         self.n_features_ = X.shape[1]
-        self.root_ = self._build(X, y, weights, depth=0)
+        self.root_ = self._build(X, y, weights)
+        self._compile()
         return self
 
     # ------------------------------------------------------------------ fit
-    def _build(self, X: np.ndarray, y: np.ndarray, w: np.ndarray, depth: int) -> _TreeNode:
-        node = _TreeNode(
-            prediction=_weighted_mean(y, w), n_samples=int(X.shape[0]), depth=depth
-        )
-        if (
-            depth >= self.max_depth
-            or X.shape[0] < self.min_samples_split
-            or np.allclose(y, y[0])
-        ):
-            return node
+    def _build(self, X: np.ndarray, y: np.ndarray, w: np.ndarray) -> _TreeNode:
+        """Grow the tree depth-first from one stable argsort of every column."""
+        n_samples = X.shape[0]
+        columns = np.ascontiguousarray(X.T)
+        wy = w * y
+        moments = np.stack([w, wy, wy * y])
+        root = _TreeNode(prediction=_weighted_mean(y, w), n_samples=n_samples, depth=0)
+        # Each entry holds a node's rows (ascending) and, per feature, those rows
+        # in sorted order.  Popping rebinds ``order``, releasing the parent's.
+        stack = [(root, np.arange(n_samples), np.argsort(columns, axis=1, kind="stable"))]
+        while stack:
+            node, rows, order = stack.pop()
+            y_node, w_node = y[rows], w[rows]
+            if (
+                node.depth >= self.max_depth
+                or rows.size < self.min_samples_split
+                or np.allclose(y_node, y_node[0])
+            ):
+                continue
+            split = self._best_split(columns, moments, order, y_node, w_node)
+            if split is None:
+                continue
 
-        split = self._best_split(X, y, w)
-        if split is None:
-            return node
+            node.feature, node.threshold = split
+            in_left = np.zeros(n_samples, dtype=bool)
+            in_left[rows[columns[node.feature, rows] <= node.threshold]] = True
+            for side in (in_left, ~in_left):
+                child_rows = rows[side[rows]]
+                child = _TreeNode(
+                    prediction=_weighted_mean(y[child_rows], w[child_rows]),
+                    n_samples=int(child_rows.size),
+                    depth=node.depth + 1,
+                )
+                node.children.append(child)
+                child_order = np.compress(side[order].ravel(), order).reshape(len(order), -1)
+                stack.append((child, child_rows, child_order))
+            node.left, node.right = node.children
+        return root
 
-        feature, threshold = split
-        left_mask = X[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X[left_mask], y[left_mask], w[left_mask], depth + 1)
-        node.right = self._build(X[~left_mask], y[~left_mask], w[~left_mask], depth + 1)
-        node.children = [node.left, node.right]
-        return node
-
-    def _best_split(self, X: np.ndarray, y: np.ndarray, w: np.ndarray):
+    def _best_split(
+        self,
+        columns: np.ndarray,
+        moments: np.ndarray,
+        order: np.ndarray,
+        y: np.ndarray,
+        w: np.ndarray,
+    ):
         """Search the (feature, threshold) pair minimizing weighted SSE.
 
-        For each feature the column is sorted once and every split position is
-        evaluated simultaneously through prefix sums of ``w``, ``w*y``, and
-        ``w*y**2`` — the weighted SSE of a child is
-        ``sum(w*y^2) - sum(w*y)^2 / sum(w)``.
+        ``columns`` is the fit's ``X.T``, ``moments`` stacks ``w``, ``w*y`` and
+        ``w*y**2`` over all fit rows, and ``order[f]`` lists the node's rows
+        sorted by feature ``f`` (``y`` and ``w`` are the node's own).  The
+        weighted SSE of a child is ``sum(w*y^2) - sum(w*y)^2 / sum(w)``.
+
+        Features are scored in blocks of ``_BLOCK_COLUMNS``.  In a block, the
+        split positions of a feature are the boundaries between distinct
+        consecutive sorted values, thinned to ``max_candidate_thresholds``
+        evenly spaced ones when there are more, then restricted to positions
+        leaving ``min_samples_leaf`` rows and positive weight on both sides.
+        Prefix sums of the three moments run along every sorted column at
+        once, and gains are computed at the candidate positions only.  The
+        first maximum in (feature, position) order wins its block, and a
+        later block replaces it only with a strictly greater gain.  This is
+        the summation order and the tie rule of scoring one feature at a
+        time, so the chosen split is the same to the last bit.
         """
-        n_samples = X.shape[0]
+        n_samples = order.shape[1]
         total_weight = float(w.sum())
         parent_sse = float(np.dot(w, (y - _weighted_mean(y, w)) ** 2))
+        # Positions p split the sorted rows into [0, p] and (p, n): keep those
+        # leaving at least min_samples_leaf rows on each side.
+        first = max(self.min_samples_leaf - 1, 0)
+        stop = min(n_samples - 1, n_samples - self.min_samples_leaf)
+        if first >= stop:
+            return None
+        # Where each feature's row starts in the flattened ``columns``.
+        offsets = np.arange(0, columns.size, columns.shape[1])[:, None]
         best = None
         best_gain = self.min_impurity_decrease
-        wy = w * y
-        wyy = wy * y
-
-        for feature in range(X.shape[1]):
-            column = X[:, feature]
-            order = np.argsort(column, kind="mergesort")
-            sorted_column = column[order]
-            # Valid split positions: boundaries between distinct consecutive values.
-            boundaries = np.flatnonzero(sorted_column[:-1] < sorted_column[1:])
-            if boundaries.size == 0:
+        for start in range(0, order.shape[0], _BLOCK_COLUMNS):
+            sorted_rows = order[start : start + _BLOCK_COLUMNS]
+            values = np.take(columns, sorted_rows + offsets[start : start + _BLOCK_COLUMNS])
+            candidate = values[:, :-1] < values[:, 1:]
+            if self.max_candidate_thresholds is not None:
+                _thin_boundaries(candidate, self.max_candidate_thresholds)
+            candidate = candidate[:, first:stop]
+            sums = np.take(moments, sorted_rows, axis=1)
+            np.cumsum(sums, axis=2, out=sums)
+            w_prefix = sums[0, :, first:stop]
+            candidate &= (w_prefix > 0) & (total_weight - w_prefix > 0)
+            feature, position = np.nonzero(candidate)
+            if feature.size == 0:
                 continue
-            cap = self.max_candidate_thresholds
-            if cap is not None and boundaries.size > cap:
-                picks = np.linspace(0, boundaries.size - 1, cap)
-                boundaries = boundaries[np.unique(picks.astype(int))]
+            position += first
 
-            cum_w = np.cumsum(w[order])
-            cum_wy = np.cumsum(wy[order])
-            cum_wyy = np.cumsum(wyy[order])
-
-            n_left = boundaries + 1
-            n_right = n_samples - n_left
-            valid = (n_left >= self.min_samples_leaf) & (n_right >= self.min_samples_leaf)
-            if not valid.any():
-                continue
-            boundaries = boundaries[valid]
-            n_left = n_left[valid]
-
-            w_left = cum_w[boundaries]
+            w_left = sums[0, feature, position]
             w_right = total_weight - w_left
-            usable = (w_left > 0) & (w_right > 0)
-            if not usable.any():
-                continue
-            boundaries = boundaries[usable]
-            w_left, w_right = w_left[usable], w_right[usable]
-
-            wy_left = cum_wy[boundaries]
-            wy_right = cum_wy[-1] - wy_left
-            wyy_left = cum_wyy[boundaries]
-            wyy_right = cum_wyy[-1] - wyy_left
+            wy_left = sums[1, feature, position]
+            wy_right = sums[1, feature, -1] - wy_left
+            wyy_left = sums[2, feature, position]
+            wyy_right = sums[2, feature, -1] - wyy_left
             sse_left = wyy_left - wy_left**2 / w_left
             sse_right = wyy_right - wy_right**2 / w_right
             gains = (parent_sse - sse_left - sse_right) / max(total_weight, 1e-12)
 
-            best_index = int(np.argmax(gains))
-            if gains[best_index] > best_gain:
-                best_gain = float(gains[best_index])
-                position = boundaries[best_index]
-                threshold = (sorted_column[position] + sorted_column[position + 1]) / 2.0
-                best = (feature, float(threshold))
+            top = int(np.argmax(gains))
+            if gains[top] > best_gain:
+                best_gain = float(gains[top])
+                f, p = feature[top], position[top]
+                best = (start + int(f), float((values[f, p] + values[f, p + 1]) / 2.0))
         return best
 
     # ---------------------------------------------------------------- state
@@ -251,6 +310,7 @@ class DecisionTreeRegressor(BaseEstimator):
         if state:
             self.n_features_ = int(state["n_features_"])
             self.root_ = _unflatten_tree(state["tree_"])
+            self._compile()
         return self
 
     # -------------------------------------------------------------- predict
@@ -262,13 +322,34 @@ class DecisionTreeRegressor(BaseEstimator):
             raise ValueError(
                 f"X has {X.shape[1]} features, tree was fitted with {self.n_features_}"
             )
-        return np.array([self._predict_row(row) for row in X], dtype=np.float64)
+        return self._walk(X)
 
-    def _predict_row(self, row: np.ndarray) -> float:
-        node = self.root_
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.prediction
+    def _compile(self) -> None:
+        """Derive the walk arrays from ``root_`` (never persisted).
+
+        These are the :func:`_flatten_tree` arrays with every leaf pointing to
+        itself, so a row that reaches a leaf early stays there.
+        """
+        flat = _flatten_tree(self.root_)
+        leaf = flat["left"] < 0
+        nodes = np.arange(leaf.size)
+        self._nodes = (
+            np.where(leaf, 0, flat["feature"]),
+            flat["threshold"],
+            np.where(leaf, nodes, flat["left"]),
+            np.where(leaf, nodes, flat["right"]),
+            flat["prediction"],
+            int(flat["depth"].max()),
+        )
+
+    def _walk(self, X: np.ndarray) -> np.ndarray:
+        """Leaf means for validated rows: every row descends one level per step."""
+        feature, threshold, left, right, prediction, depth = self._nodes
+        rows = np.arange(X.shape[0])
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        for _ in range(depth):
+            node = np.where(X[rows, feature[node]] <= threshold[node], left[node], right[node])
+        return prediction[node]
 
     # ------------------------------------------------------------ inspection
     @property

@@ -97,3 +97,13 @@ class TestStaged:
         model = GradientBoostingClassifier(n_estimators=3, random_state=0).fit(X, y)
         with pytest.raises(ValueError):
             model.predict(X[:, :1])
+
+    @pytest.mark.parametrize("n_estimators", [0, 3])
+    def test_staged_feature_mismatch_raises(self, n_estimators):
+        X = np.random.default_rng(2).normal(size=(40, 5))
+        y = (X[:, 0] > 0).astype(int)
+        model = GradientBoostingClassifier(n_estimators=n_estimators, random_state=0).fit(X, y)
+        with pytest.raises(ValueError, match="5"):
+            model.decision_function(X[:, :3])
+        with pytest.raises(ValueError, match="5"):
+            model.staged_decision_function(X[:, :3])
