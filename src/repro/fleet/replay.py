@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.exceptions import ValidationError
 from repro.simulate.replay import ReplayResult
 from repro.simulate.suites import SuiteRunner, make_suite
 
@@ -92,7 +93,10 @@ def compare_sharded_replay(
 
     Both replays consume the same deterministic stream (same scenario, same
     seed), so any difference is the fleet's fault, not the traffic's.
+    ``shards`` must be at least 2: a single "shard" is the single service.
     """
+    if int(shards) < 2:
+        raise ValidationError(f"a sharded replay needs shards >= 2, got {shards}")
     single = runner.replay_scenario(
         scenario, deploy, label=label, n_steps=n_steps, batch_size=batch_size, seed=seed
     )

@@ -22,16 +22,25 @@ Also available as ``python -m repro.serving.cli``.
 from __future__ import annotations
 
 import argparse
-import json
-import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.datasets import available_datasets, load_dataset, split_dataset
+from repro.cli import (
+    add_dataset_options,
+    add_dump_options,
+    add_fit_options,
+    dispatch,
+    emit_json,
+    fit_pipeline,
+    load_split,
+    save_fit,
+    start_recording,
+    write_dumps,
+)
 from repro.exceptions import ReproError, ValidationError
 from repro.fairness import evaluate_predictions
-from repro.interventions import FairnessPipeline, PipelineResult, available_interventions
+from repro.interventions import PipelineResult
 from repro.serving.artifacts import (
     describe_artifact,
     find_profile,
@@ -40,62 +49,14 @@ from repro.serving.artifacts import (
 )
 from repro.serving.monitor import FairnessMonitor
 from repro.serving.service import PredictionService
-from repro.telemetry import (
-    enable as enable_telemetry,
-    get_event_log,
-    write_events,
-    write_metrics,
-)
+from repro.telemetry import get_event_log
 
-
-def parse_params(pairs: Optional[List[str]]) -> Dict[str, object]:
-    """Parse repeatable ``--param key=value`` options (values parsed as JSON).
-
-    Shared with ``repro-simulate``, whose ``--param`` / ``--scenario-param``
-    options follow the same convention.
-    """
-    params: Dict[str, object] = {}
-    for pair in pairs or []:
-        key, separator, raw = pair.partition("=")
-        if not separator or not key:
-            # ValidationError is a ReproError, so main() turns this into the
-            # clean `error: ...` + exit 2 path instead of a traceback.
-            raise ValidationError(f"--param expects key=value, got {pair!r}")
-        try:
-            params[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            params[key] = raw
-    return params
-
-
-def _load_split(args) -> Tuple[object, object]:
-    dataset = load_dataset(
-        args.dataset, size_factor=args.size_factor, random_state=args.seed
-    )
-    return dataset, split_dataset(dataset, random_state=args.seed)
-
-
-def emit_json(payload: Dict[str, object]) -> None:
-    """Write one JSON document to stdout (every CLI's single output shape)."""
-    json.dump(payload, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
-
-
-__all__ = ["emit_json", "main", "parse_params"]
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------- commands
 def cmd_fit(args) -> int:
-    pipeline = FairnessPipeline(
-        intervention=args.intervention,
-        learner=args.learner,
-        dataset=args.dataset,
-        size_factor=args.size_factor,
-        seed=args.seed,
-        intervention_params=parse_params(args.param),
-        fit_n_jobs=args.n_jobs,
-    )
-    result = pipeline.run()
+    result = fit_pipeline(args)
     payload: Dict[str, object] = {
         "dataset": result.dataset,
         "method": result.method,
@@ -105,18 +66,7 @@ def cmd_fit(args) -> int:
         "report": result.report.to_dict(),
     }
     if args.out:
-        save_artifact(
-            result,
-            args.out,
-            metadata={
-                "command": "fit",
-                "dataset": args.dataset,
-                "intervention": args.intervention,
-                "learner": args.learner,
-                "seed": args.seed,
-                "size_factor": args.size_factor,
-            },
-        )
+        save_fit(result, args.out, args, command="fit")
         payload["artifact"] = args.out
     emit_json(payload)
     return 0
@@ -140,8 +90,7 @@ def cmd_save(args) -> int:
 
 def cmd_score(args) -> int:
     service = PredictionService.from_artifact(args.artifact)
-    _, split = _load_split(args)
-    deploy = split.deploy
+    deploy = load_split(args).deploy
     # --group-blind is honored unconditionally: a model that declared
     # requires_group_at_predict then rejects the request (exit code 2),
     # which is exactly the capability check the flag exists to exercise.
@@ -163,11 +112,10 @@ def cmd_score(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    if args.metrics_out:
-        enable_telemetry()
+    if args.request_size < 1:
+        raise ValidationError(f"--request-size must be >= 1, got {args.request_size}")
+    start_recording(args)
     events = get_event_log()
-    if args.events_out:
-        events.enable()
     loaded = load_artifact(args.artifact)
     monitor = FairnessMonitor(
         window_size=args.window, profile=find_profile(loaded)
@@ -178,7 +126,7 @@ def cmd_serve(args) -> int:
         max_workers=args.workers,
         monitor=monitor,
     )
-    _, split = _load_split(args)
+    split = load_split(args)
     deploy = split.deploy
     if monitor.profile is not None:
         monitor.set_baselines(violation=split.train.X)
@@ -193,26 +141,10 @@ def cmd_serve(args) -> int:
         block = slice(start, min(start + args.request_size, rows))
         service.predict(X[block], group[block], y_true=y_true[block])
         if events.enabled:
-            # Flight-recorder edge detection: whenever the alarmed-channel
-            # set changes, log the edge and the full channel attribution at
-            # the monitor's latest sequence stamp.
-            report = monitor.alarm_report()
-            if report["alarmed"] != previous_alarmed:
-                sequence = int(report["last_sequence"])
-                events.emit(
-                    "alarm_edge",
-                    sequence=sequence,
-                    raised=[c for c in report["alarmed"] if c not in previous_alarmed],
-                    cleared=[c for c in previous_alarmed if c not in report["alarmed"]],
-                    channels=list(report["alarmed"]),
-                )
-                events.emit(
-                    "channel_snapshot",
-                    sequence=sequence,
-                    trigger="alarm_edge",
-                    report=report,
-                )
-                previous_alarmed = list(report["alarmed"])
+            alarmed = monitor.alarm_report()["alarmed"]
+            if alarmed != previous_alarmed:
+                monitor.emit_alarm_edge(events, previous_alarmed, alarmed)
+                previous_alarmed = alarmed
 
     summary = monitor.windowed_summary()
     payload: Dict[str, object] = {
@@ -229,10 +161,7 @@ def cmd_serve(args) -> int:
             payload["windowed_report"] = monitor.windowed_report().to_dict()
         except ReproError:
             pass
-    if args.metrics_out:
-        payload["metrics_out"] = write_metrics(args.metrics_out)
-    if args.events_out:
-        payload["events_out"] = write_events(args.events_out)
+    write_dumps(args, payload)
     emit_json(payload)
     return 0
 
@@ -245,42 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_data_options(p) -> None:
-        p.add_argument(
-            "--dataset",
-            default="meps",
-            help=f"benchmark name (one of {', '.join(available_datasets())})",
-        )
-        p.add_argument("--seed", type=int, default=7, help="dataset/split/learner seed")
-        p.add_argument(
-            "--size-factor",
-            type=float,
-            default=0.05,
-            help="fraction of the published dataset size to generate",
-        )
-
     fit = sub.add_parser("fit", help="run a FairnessPipeline and save the result artifact")
-    add_data_options(fit)
-    fit.add_argument(
-        "--intervention",
-        default="confair",
-        help=f"intervention name (one of {', '.join(available_interventions())})",
-    )
-    fit.add_argument("--learner", default="lr", help="final-model learner name")
-    fit.add_argument(
-        "--param",
-        action="append",
-        metavar="KEY=VALUE",
-        help="extra intervention constructor parameter (repeatable; value parsed as JSON)",
-    )
+    add_dataset_options(fit)
+    add_fit_options(fit)
     fit.add_argument("--out", help="artifact directory to write")
-    fit.add_argument(
-        "--n-jobs",
-        type=int,
-        default=None,
-        help="worker threads for profiling/tuning inside the fit "
-        "(results are bit-identical to a serial fit; -1 = all cores)",
-    )
     fit.set_defaults(func=cmd_fit)
 
     save = sub.add_parser(
@@ -291,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     save.set_defaults(func=cmd_save)
 
     score = sub.add_parser("score", help="evaluate a saved artifact on a dataset's deploy split")
-    add_data_options(score)
+    add_dataset_options(score)
     score.add_argument("--artifact", required=True, help="artifact directory to load")
     score.add_argument(
         "--group-blind",
@@ -304,40 +201,21 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="push batched traffic through a PredictionService and report"
     )
-    add_data_options(serve)
+    add_dataset_options(serve)
     serve.add_argument("--artifact", required=True, help="artifact directory to load")
     serve.add_argument("--rows", type=int, default=0, help="traffic volume (0 = deploy split size)")
     serve.add_argument("--request-size", type=int, default=1024, help="records per request")
     serve.add_argument("--batch-size", type=int, default=512, help="micro-batch size")
     serve.add_argument("--workers", type=int, default=None, help="thread-pool width")
     serve.add_argument("--window", type=int, default=5000, help="monitor window size")
-    serve.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="enable telemetry and write its JSON dump (summary + mergeable "
-        "state) to PATH after serving",
-    )
-    serve.add_argument(
-        "--events-out",
-        default=None,
-        metavar="PATH",
-        help="enable the flight recorder and write its event-log dump "
-        "(request events, alarm edges, channel attributions) to PATH",
-    )
+    add_dump_options(serve)
     serve.set_defaults(func=cmd_serve)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point (also exposed as the ``repro-serve`` console script)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    return dispatch(build_parser(), argv)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m

@@ -698,6 +698,35 @@ class FairnessMonitor(BaseEstimator):
             "group_rates": group_rates,
         }
 
+    def emit_alarm_edge(
+        self, events, previous: Sequence[str], current: Sequence[str], **attributes: Any
+    ) -> None:
+        """Log the alarmed channels changing from ``previous`` to ``current``.
+
+        Emits an ``alarm_edge`` event (raised, cleared and current channels)
+        and a ``channel_snapshot`` carrying :meth:`alarm_report`, both keyed
+        by :attr:`last_sequence`, into ``events`` (an
+        :class:`~repro.telemetry.EventLog`).  ``attributes``, such as a
+        replay's ``step``, ride on both records.  Callers check
+        ``events.enabled`` first, so a disabled log builds no report.
+        """
+        sequence = self.last_sequence
+        events.emit(
+            "alarm_edge",
+            sequence=sequence,
+            **attributes,
+            raised=[c for c in current if c not in previous],
+            cleared=[c for c in previous if c not in current],
+            channels=list(current),
+        )
+        events.emit(
+            "channel_snapshot",
+            sequence=sequence,
+            trigger="alarm_edge",
+            **attributes,
+            report=self.alarm_report(),
+        )
+
     # ------------------------------------------------------------ reports
     @property
     def window_counts(self) -> StreamCounts:

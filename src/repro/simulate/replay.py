@@ -251,22 +251,8 @@ class ReplayHarness:
                     # (fleet-level) monitor is observed — keyed by its latest
                     # sequence stamp, so sharded and single-service replays
                     # record identical forensics.
-                    monitor = self.monitor
-                    sequence = int(monitor.last_sequence)
-                    events.emit(
-                        "alarm_edge",
-                        sequence=sequence,
-                        step=batch.step,
-                        raised=[c for c in channels if c not in previous_channels],
-                        cleared=[c for c in previous_channels if c not in channels],
-                        channels=list(channels),
-                    )
-                    events.emit(
-                        "channel_snapshot",
-                        sequence=sequence,
-                        trigger="alarm_edge",
-                        step=batch.step,
-                        report=monitor.alarm_report(),
+                    self.monitor.emit_alarm_edge(
+                        events, previous_channels, channels, step=batch.step
                     )
                 previous_channels = channels
                 mitigation_events: Tuple[str, ...] = ()

@@ -34,8 +34,8 @@ Enable it for the process with :func:`enable`, or pass a private
     payload = telemetry.export()           # JSON-able dict (incl. spans)
 
 The ``repro-serve serve``, ``repro-fleet serve|replay``, and
-``repro-simulate run|suite`` commands take ``--metrics-out PATH`` to enable
-telemetry and write a JSON dump (summary + mergeable state); the
+``repro-simulate run|suite|calibrate`` commands take ``--metrics-out PATH``
+to enable telemetry and write a JSON dump (summary + mergeable state); the
 ``repro-telemetry`` CLI summarizes and diffs those dumps.
 
 The flight recorder
@@ -149,12 +149,17 @@ def write_events(path, payload: Optional[Dict[str, Any]] = None) -> str:
     written path (what ``--events-out`` handlers report).
     """
 
-    target = _Path(path)
     if payload is None:
         payload = {
             "events_version": EVENT_LOG_SCHEMA_VERSION,
             "state": _DEFAULT_EVENT_LOG.state_dict(),
         }
+    return _write_json(path, payload)
+
+
+def _write_json(path, payload: Dict[str, Any]) -> str:
+    """Write ``payload`` to ``path`` as deterministic JSON; returns the path."""
+    target = _Path(path)
     target.write_text(
         _json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",
         encoding="utf-8",
@@ -218,13 +223,7 @@ def write_metrics(path, payload: Optional[Dict[str, Any]] = None) -> str:
     Returns the written path (what ``--metrics-out`` handlers report).
     """
 
-    target = _Path(path)
-    payload = dump() if payload is None else payload
-    target.write_text(
-        _json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",
-        encoding="utf-8",
-    )
-    return str(target)
+    return _write_json(path, dump() if payload is None else payload)
 
 
 def reset(*, clear_collectors: bool = False) -> None:

@@ -26,7 +26,7 @@ that share those sequence stamps, resolving one fleet micro-batch into its
 dispatch span, worker-side request span, and every event it triggered.
 
 All commands accept plain dumps (written by ``repro-serve serve`` /
-``repro-simulate run|suite`` / ``repro-fleet replay``) and fleet dumps
+``repro-simulate run|suite|calibrate`` / ``repro-fleet replay``) and fleet dumps
 (written by ``repro-fleet serve``, which carry ``frontend`` / ``shards`` /
 ``merged`` sections); pick a fleet section with ``--section``.
 
@@ -41,7 +41,8 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.exceptions import ReproError, TelemetryError
+from repro.cli import dispatch, emit_json
+from repro.exceptions import TelemetryError
 from repro.telemetry.events import EventLog
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -56,11 +57,12 @@ def _load_dump(path: str) -> Dict[str, Any]:
     return payload
 
 
-def _select_state(dump: Dict[str, Any], section: str, path: str) -> Dict[str, Any]:
-    """Pull one mergeable ``state`` out of a plain or fleet dump.
+def _select_state(dump: Dict[str, Any], section: str, path: str, flag: str) -> Dict[str, Any]:
+    """Pull one mergeable ``state`` out of a plain or fleet ``flag`` dump.
 
-    ``section`` is ``auto`` (plain state, else the fleet's ``merged``),
-    ``merged``, ``frontend``, or ``shard:<id>``.
+    ``flag`` is the option that wrote the dump (``--metrics-out`` or
+    ``--events-out``).  ``section`` is ``auto`` (plain state, else the
+    fleet's ``merged``), ``merged``, ``frontend``, or ``shard:<id>``.
     """
     if section == "auto":
         if "state" in dump:
@@ -68,14 +70,13 @@ def _select_state(dump: Dict[str, Any], section: str, path: str) -> Dict[str, An
         if "merged" in dump:
             return dump["merged"]["state"]
         raise TelemetryError(
-            f"telemetry dump {path!r} has neither 'state' nor 'merged' — "
-            f"not a --metrics-out file?"
+            f"dump {path!r} has neither 'state' nor 'merged' — was it written by {flag}?"
         )
     if section in ("merged", "frontend"):
         block = dump.get(section)
         if not isinstance(block, dict) or "state" not in block:
             raise TelemetryError(
-                f"telemetry dump {path!r} has no {section!r} section "
+                f"{flag} dump {path!r} has no {section!r} section "
                 f"(only repro-fleet serve dumps carry one)"
             )
         return block["state"]
@@ -85,46 +86,9 @@ def _select_state(dump: Dict[str, Any], section: str, path: str) -> Dict[str, An
             if str(shard.get("shard_id")) == shard_id:
                 state = shard.get("state")
                 if state is None:
-                    raise TelemetryError(
-                        f"shard {shard_id} in {path!r} reported no telemetry state"
-                    )
+                    raise TelemetryError(f"shard {shard_id} in {path!r} reported no state")
                 return state
-        raise TelemetryError(f"telemetry dump {path!r} has no shard {shard_id!r}")
-    raise TelemetryError(
-        f"unknown --section {section!r}; use auto, merged, frontend, or shard:<id>"
-    )
-
-
-def _select_event_state(dump: Dict[str, Any], section: str, path: str) -> Dict[str, Any]:
-    """Pull one event-log ``state`` out of a plain or fleet ``--events-out`` dump."""
-    if section == "auto":
-        if "state" in dump:
-            return dump["state"]
-        if "merged" in dump:
-            return dump["merged"]["state"]
-        raise TelemetryError(
-            f"event dump {path!r} has neither 'state' nor 'merged' — "
-            f"not an --events-out file?"
-        )
-    if section in ("merged", "frontend"):
-        block = dump.get(section)
-        if not isinstance(block, dict) or "state" not in block:
-            raise TelemetryError(
-                f"event dump {path!r} has no {section!r} section "
-                f"(only fleet dumps carry one)"
-            )
-        return block["state"]
-    if section.startswith("shard:"):
-        shard_id = section[len("shard:"):]
-        for shard in dump.get("shards", []):
-            if str(shard.get("shard_id")) == shard_id:
-                state = shard.get("state")
-                if state is None:
-                    raise TelemetryError(
-                        f"shard {shard_id} in {path!r} reported no event state"
-                    )
-                return state
-        raise TelemetryError(f"event dump {path!r} has no shard {shard_id!r}")
+        raise TelemetryError(f"{flag} dump {path!r} has no shard {shard_id!r}")
     raise TelemetryError(
         f"unknown --section {section!r}; use auto, merged, frontend, or shard:<id>"
     )
@@ -150,22 +114,17 @@ def _collect_spans(dump: Dict[str, Any]) -> List[Dict[str, Any]]:
     return spans
 
 
-def _emit(payload: Dict[str, Any]) -> None:
-    json.dump(payload, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
-
-
 # ---------------------------------------------------------------- commands
 def cmd_summary(args) -> int:
     dump = _load_dump(args.input)
-    state = _select_state(dump, args.section, args.input)
+    state = _select_state(dump, args.section, args.input, "--metrics-out")
     registry = MetricsRegistry().load_state_dict(state)
     if args.prometheus:
         sys.stdout.write(registry.export_prometheus())
         return 0
     export = registry.export(include_spans=False)
     export.pop("enabled", None)  # a re-summarized state has no live flag
-    _emit(
+    emit_json(
         {
             "input": args.input,
             "section": args.section,
@@ -208,10 +167,8 @@ def _diff_histograms(
 
 
 def cmd_diff(args) -> int:
-    before_dump = _load_dump(args.before)
-    after_dump = _load_dump(args.after)
-    before = _select_state(before_dump, args.section, args.before)
-    after = _select_state(after_dump, args.section, args.after)
+    before = _select_state(_load_dump(args.before), args.section, args.before, "--metrics-out")
+    after = _select_state(_load_dump(args.after), args.section, args.after, "--metrics-out")
     MetricsRegistry._validate_state(before)
     MetricsRegistry._validate_state(after)
 
@@ -248,7 +205,7 @@ def cmd_diff(args) -> int:
             }
         histograms[name] = _diff_histograms(b_state, a_state, name)
 
-    _emit(
+    emit_json(
         {
             "before": args.before,
             "after": args.after,
@@ -263,10 +220,9 @@ def cmd_diff(args) -> int:
 
 def cmd_tail(args) -> int:
     dump = _load_dump(args.input)
-    state = _select_event_state(dump, args.section, args.input)
-    log = EventLog(max_events=max(len(state.get("records", [])), 1)).load_state_dict(state)
+    log = EventLog().load_state_dict(_select_state(dump, args.section, args.input, "--events-out"))
     records = log.tail(args.last, kind=args.kind)
-    _emit(
+    emit_json(
         {
             "input": args.input,
             "section": args.section,
@@ -309,12 +265,11 @@ def cmd_trace(args) -> int:
     events: List[Dict[str, Any]] = []
     if args.events is not None:
         dump = _load_dump(args.events)
-        state = _select_event_state(dump, args.section, args.events)
-        log = EventLog(max_events=max(len(state.get("records", [])), 1)).load_state_dict(
-            state
+        log = EventLog().load_state_dict(
+            _select_state(dump, args.section, args.events, "--events-out")
         )
         events = [record for record in log.records() if record["sequence"] in sequences]
-    _emit(
+    emit_json(
         {
             "trace_id": args.trace_id,
             "sequences": sorted(sequences),
@@ -331,7 +286,8 @@ def cmd_trace(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-telemetry",
-        description="Summarize and diff --metrics-out telemetry dumps.",
+        description="Summarize and diff --metrics-out dumps; tail and trace "
+        "--events-out dumps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -412,13 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point (also exposed as the ``repro-telemetry`` console script)."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    return dispatch(build_parser(), argv)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m

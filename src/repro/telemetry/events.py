@@ -183,9 +183,9 @@ class EventLog:
         return snapshot
 
     def tail(self, n: int = 20, *, kind: Optional[str] = None) -> List[Dict[str, Any]]:
-        """The last ``n`` records in canonical order."""
-        selected = self.records(kind=kind)
-        return selected[-max(int(n), 0):]
+        """The last ``n`` records in canonical order (none when ``n <= 0``)."""
+        n = int(n)
+        return self.records(kind=kind)[-n:] if n > 0 else []
 
     # ------------------------------------------------------- checkpointing
     def state_dict(self) -> Dict[str, Any]:

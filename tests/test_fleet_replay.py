@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import make_drifted_groups, split_dataset
+from repro.exceptions import ValidationError
 from repro.fleet import compare_sharded_replay, diff_replay_results
 from repro.fleet.service import FleetService
 from repro.interventions import FairnessPipeline
@@ -92,6 +93,15 @@ class TestShardedReplayEquivalence:
                 seed=33,
             )
             assert comparison.matches, comparison.differences
+
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_fewer_than_two_shards_is_rejected(self, runner, shards):
+        # One "shard" is the single service: comparing it with itself
+        # would report a vacuous match.
+        with pytest.raises(ValidationError, match="shards >= 2"):
+            compare_sharded_replay(
+                runner, make_scenario("none"), SPLIT.deploy, shards=shards, n_steps=4
+            )
 
     def test_runner_builds_a_fleet_for_sharded_replays(self, runner):
         service = runner.make_service(shards=3)

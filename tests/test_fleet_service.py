@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import tempfile
 import threading
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.fleet import (
 from repro.fleet.cli import main as fleet_main
 from repro.interventions import FairnessPipeline
 from repro.serving import FairnessMonitor, MonitorThresholds, PredictionService, save_artifact
+from repro.simulate.cli import main as simulate_main
 
 SPLIT = split_dataset(
     make_drifted_groups(
@@ -328,3 +330,46 @@ class TestFleetCli:
     def test_report_rejects_missing_file(self, tmp_path, capsys):
         assert fleet_main(["report", "--input", str(tmp_path / "missing.json")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_process_backend_rejects_workers(self, tmp_path, capsys):
+        # Process shards never read --workers; accepting it would make
+        # `--workers 0` pass here while the inline backend rejects it.
+        code = fleet_main(
+            [
+                "serve",
+                "--backend", "process",
+                "--workers", "0",
+                "--artifact", str(tmp_path / "unused"),
+            ]
+        )
+        assert code == 2
+        assert "error: --workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "main, argv",
+        [
+            (simulate_main, ["run", "--steps", "6", "--stream-batch", "50"]),
+            (fleet_main, ["replay", "--shards", "2", "--steps", "6", "--stream-batch", "50"]),
+            (
+                fleet_main,
+                ["serve", "--backend", "process", "--shards", "2", "--requests", "4",
+                 "--request-rows", "20"],
+            ),
+        ],
+        ids=["simulate-run", "fleet-replay", "fleet-serve-process"],
+    )
+    def test_temporary_directories_are_removed(self, tmp_path, monkeypatch, capsys, main, argv):
+        """A fit without --artifact/--out, and the process fleet's monitor
+        artifact, live in directories scoped to the command."""
+        tempdir = tmp_path / "tmp"
+        tempdir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tempdir))
+        code = main(
+            argv
+            + ["--dataset", "meps", "--size-factor", "0.02", "--seed", "5",
+               "--window", "400", "--no-density"]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["artifact"] is None
+        assert list(tempdir.iterdir()) == []

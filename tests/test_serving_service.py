@@ -382,6 +382,14 @@ class TestServingCli:
         assert code == 2
         assert "requires_group_at_predict" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_serve_rejects_non_positive_request_size(self, tmp_path, capsys, size):
+        code = cli_main(
+            ["serve", "--artifact", str(tmp_path / "unused"), "--request-size", size]
+        )
+        assert code == 2
+        assert "error: --request-size must be >= 1" in capsys.readouterr().err
+
     def test_unknown_dataset_exits_with_error(self, tmp_path, capsys):
         code = cli_main(
             ["fit", "--dataset", "nope", "--out", str(tmp_path / "a")]

@@ -18,6 +18,7 @@ from repro.fleet.cli import main as fleet_main
 from repro.interventions import FairnessPipeline
 from repro.serving import save_artifact
 from repro.serving.cli import main as serve_main
+from repro.simulate.cli import main as simulate_main
 from repro.telemetry import MetricsRegistry, write_metrics
 from repro.telemetry.cli import main as telemetry_main
 
@@ -121,10 +122,12 @@ def artifact(tmp_path_factory):
 
 @pytest.fixture(autouse=True)
 def clean_default_registry():
-    """--metrics-out enables the process-wide registry; undo it per test."""
+    """--metrics-out / --events-out enable the process-wide registry and
+    event log; undo both per test."""
     yield
     telemetry.disable()
     telemetry.reset()
+    telemetry.get_event_log().disable().reset()
 
 
 class TestMetricsOutFlag:
@@ -190,3 +193,48 @@ class TestMetricsOutFlag:
         ) == 0
         shard_summary = json.loads(capsys.readouterr().out)["summary"]
         assert shard_summary["counters"]["serving.requests_total"] == 3
+
+
+REPLAY = ["--steps", "6", "--stream-batch", "40", "--window", "300", "--no-density"]
+FLEET = ["--shards", "2", "--window", "300", "--no-density"]
+
+
+@pytest.mark.parametrize(
+    "main, argv",
+    [
+        (serve_main, ["serve", "--rows", "200", "--request-size", "50"]),
+        (simulate_main, ["run", *REPLAY]),
+        (simulate_main, ["suite", "--suite", "traffic", *REPLAY]),
+        (simulate_main, ["calibrate", *REPLAY]),
+        (fleet_main, ["serve", "--requests", "4", "--request-rows", "20", *FLEET]),
+        (fleet_main, ["replay", "--steps", "6", "--stream-batch", "40", *FLEET]),
+    ],
+    ids=[
+        "serve-serve", "simulate-run", "simulate-suite", "simulate-calibrate",
+        "fleet-serve", "fleet-replay",
+    ],
+)
+def test_every_dump_writing_command_writes_readable_dumps(
+    tmp_path, capsys, artifact, main, argv
+):
+    metrics_path = tmp_path / "metrics.json"
+    events_path = tmp_path / "events.json"
+    code = main(
+        argv
+        + [
+            "--artifact", artifact,
+            "--dataset", "syn1",
+            "--size-factor", "0.05",
+            "--metrics-out", str(metrics_path),
+            "--events-out", str(events_path),
+        ]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["metrics_out"] == str(metrics_path)
+    assert payload["events_out"] == str(events_path)
+
+    assert telemetry_main(["summary", "--input", str(metrics_path)]) == 0
+    assert "summary" in json.loads(capsys.readouterr().out)
+    assert telemetry_main(["tail", "--input", str(events_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["events_version"] == 1

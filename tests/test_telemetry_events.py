@@ -79,6 +79,14 @@ class TestEventLogBasics:
         assert [r["sequence"] for r in log.records(since=2)] == [2, 3]
         assert [r["sequence"] for r in log.tail(2)] == [2, 3]
 
+    @pytest.mark.parametrize("n", [0, -1, -5])
+    def test_tail_of_zero_or_fewer_is_empty(self, n):
+        log = EventLog(enabled=True)
+        for sequence in range(3):
+            log.emit("request", sequence=sequence)
+        assert log.tail(n) == []
+        assert log.tail(n, kind="request") == []
+
     def test_eviction_advances_the_horizon_lowest_sequence_first(self):
         log = EventLog(enabled=True, max_events=3)
         for sequence in (4, 2, 7, 1, 9):
