@@ -35,9 +35,7 @@ def serving_setup(tmp_path_factory):
 def test_serving_throughput_10k_batch(benchmark, serving_setup):
     artifact, X, y_true, group = serving_setup
     monitor = FairnessMonitor(window_size=2 * N_ROWS)
-    service = PredictionService.from_artifact(
-        artifact, batch_size=1024, max_workers=4, monitor=monitor
-    )
+    service = PredictionService.from_artifact(artifact, batch_size=1024, monitor=monitor)
 
     predictions = benchmark(service.predict, X, group, y_true=y_true)
 

@@ -39,7 +39,7 @@ def main() -> None:
         monitor = FairnessMonitor(window_size=5000,
                                   profile=result.intervention.profile_)
         service = PredictionService.from_artifact(
-            artifact, batch_size=512, max_workers=4, monitor=monitor
+            artifact, batch_size=512, monitor=monitor
         )
 
         data = load_dataset("meps", size_factor=0.05, random_state=7)

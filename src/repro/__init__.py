@@ -40,7 +40,7 @@ Serving quickstart::
 
     monitor = FairnessMonitor(window_size=5000, profile=result.intervention.profile_)
     service = PredictionService.from_artifact(
-        "artifacts/meps-diffair", batch_size=512, max_workers=4, monitor=monitor
+        "artifacts/meps-diffair", batch_size=512, monitor=monitor
     )
     predictions = service.predict(rows)          # group-blind, micro-batched
     print(monitor.windowed_summary()["di_star"], monitor.drift_status().alarm)
@@ -216,7 +216,7 @@ from repro.telemetry import MetricsRegistry
 # Observability quickstart's `from repro import telemetry`.
 from repro import telemetry
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 # The serving subsystem consumes everything above (interventions, learners,
 # datasets), the simulation subsystem consumes serving, and the fleet

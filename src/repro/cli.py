@@ -140,12 +140,6 @@ def add_replay_options(parser: argparse.ArgumentParser, *, n_jobs: bool = True) 
         help="group-prevalence alarm tolerance (absolute fraction)",
     )
     parser.add_argument("--batch-size", type=int, default=512, help="service micro-batch size")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="service thread-pool width (per shard; the process backend does not take it)",
-    )
     density = parser.add_mutually_exclusive_group()
     density.add_argument(
         "--density",
@@ -315,7 +309,6 @@ def deployment(args: argparse.Namespace) -> Iterator[Deployment]:
             window_size=args.window,
             thresholds=MonitorThresholds(group_tolerance=args.group_tolerance),
             service_batch_size=args.batch_size,
-            max_workers=args.workers,
             intervention=args.intervention,
             learner=args.learner,
             intervention_params=parse_params(args.param),

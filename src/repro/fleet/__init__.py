@@ -75,7 +75,6 @@ fleet report).
 from repro.fleet.replay import (
     ShardedReplayComparison,
     compare_sharded_replay,
-    compare_sharded_suite,
     diff_replay_results,
 )
 from repro.fleet.service import FleetService
@@ -88,6 +87,5 @@ __all__ = [
     "ShardSnapshot",
     "ShardedReplayComparison",
     "compare_sharded_replay",
-    "compare_sharded_suite",
     "diff_replay_results",
 ]

@@ -51,11 +51,6 @@ from repro.simulate.registry import make_scenario
 
 # ---------------------------------------------------------------- commands
 def cmd_serve(args) -> int:
-    if args.backend == "process" and args.workers is not None:
-        raise ValidationError(
-            "--workers sizes the inline backend's per-shard thread pools; "
-            "process shards do not read it"
-        )
     start_recording(args)
     with deployment(args) as served:
         if args.backend == "inline":

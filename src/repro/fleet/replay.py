@@ -14,11 +14,11 @@ eyeballed on summaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.exceptions import ValidationError
 from repro.simulate.replay import ReplayResult
-from repro.simulate.suites import SuiteRunner, make_suite
+from repro.simulate.suites import SuiteRunner
 
 #: Timing-dependent keys excluded from the bit-identity comparison.
 TIMING_KEYS = ("records_per_second",)
@@ -116,32 +116,3 @@ def compare_sharded_replay(
         fleet=fleet,
         differences=diff_replay_results(single, fleet),
     )
-
-
-def compare_sharded_suite(
-    runner: SuiteRunner,
-    suite: str,
-    deploy,
-    *,
-    shards: int,
-    n_steps: int = 40,
-    batch_size: int = 128,
-    seed: int = 0,
-) -> List[Tuple[str, ShardedReplayComparison]]:
-    """Run :func:`compare_sharded_replay` for every scenario of a named suite."""
-    return [
-        (
-            label,
-            compare_sharded_replay(
-                runner,
-                scenario,
-                deploy,
-                shards=shards,
-                label=label,
-                n_steps=n_steps,
-                batch_size=batch_size,
-                seed=seed,
-            ),
-        )
-        for label, scenario in make_suite(suite)
-    ]

@@ -220,12 +220,13 @@ class FleetService:
         same snapshots (or from the cache, when no request has completed
         since the last merge).  Every shard entry carries its
         ``cold_start_seconds`` and the ``mmap_cache`` hit/miss outcome of its
-        artifact load.  When the shards record telemetry, each entry
-        additionally reports its request-latency quantiles, and the report
-        gains a ``telemetry`` section whose ``merged`` view folds the
-        per-shard histograms together exactly (integer sufficient
-        statistics — bit-identical to one service observing the union
-        stream).
+        artifact load; an inline shard loads nothing, so it reports a cold
+        start of 0 and ``mmap_cache`` ``None``.  When the shards record
+        telemetry, each entry additionally reports its request-latency
+        quantiles, and the report gains a ``telemetry`` section whose
+        ``merged`` view folds the per-shard histograms together exactly
+        (integer sufficient statistics — bit-identical to one service
+        observing the union stream).
         """
         completed, merged = self._cached_monitor()
         snapshots = self.snapshots()

@@ -34,8 +34,6 @@ from repro.serving.artifacts import load_artifact, mmap_cache_stats
 from repro.serving.monitor import FairnessMonitor
 from repro.serving.service import PredictionService, ServiceStats
 from repro.telemetry import (
-    EventLog,
-    MetricsRegistry,
     events_enabled,
     get_event_log,
     get_registry,
@@ -83,55 +81,6 @@ class InlineShardWorker:
     def __init__(self, service: PredictionService, *, shard_id: int = 0) -> None:
         self.service = service
         self.shard_id = int(shard_id)
-        self.cold_start_seconds = 0.0
-        self.mmap_cache: Optional[str] = None
-
-    @classmethod
-    def from_artifact(
-        cls,
-        path,
-        *,
-        shard_id: int = 0,
-        mmap_mode: Optional[str] = "r",
-        monitor: Optional[FairnessMonitor] = None,
-        batch_size: int = 2048,
-        max_workers: Optional[int] = None,
-        telemetry: Optional[MetricsRegistry] = None,
-        events: Optional[EventLog] = None,
-    ) -> "InlineShardWorker":
-        """Build a shard from a saved artifact (memory-mapped by default).
-
-        The shard's service records into a **private** telemetry registry
-        and a **private** event log (each inheriting the process-wide
-        enabled flag) unless passed explicitly, so per-shard histograms and
-        event logs stay mergeable without double counting against the
-        process-wide instances.
-        """
-        start = time.perf_counter()
-        before = mmap_cache_stats() if mmap_mode is not None else None
-        loaded = load_artifact(path, mmap_mode=mmap_mode)
-        if telemetry is None:
-            telemetry = MetricsRegistry(enabled=telemetry_enabled())
-        if events is None:
-            events = EventLog(enabled=events_enabled())
-        service = PredictionService(
-            loaded,
-            batch_size=batch_size,
-            max_workers=max_workers,
-            monitor=monitor,
-            telemetry=telemetry,
-            events=events,
-            shard_id=shard_id,
-        )
-        worker = cls(service, shard_id=shard_id)
-        worker.cold_start_seconds = time.perf_counter() - start
-        if before is not None:
-            # Process-cumulative counters, so concurrent loads in other
-            # threads could blur the attribution; shard construction is
-            # serial everywhere in this package.
-            after = mmap_cache_stats()
-            worker.mmap_cache = "miss" if after["extractions"] > before["extractions"] else "hit"
-        return worker
 
     @property
     def requires_group(self) -> bool:
@@ -171,8 +120,8 @@ class InlineShardWorker:
             shard_id=self.shard_id,
             stats=ServiceStats(stats.n_requests, stats.n_records, stats.total_seconds),
             monitor_state=monitor.state_dict() if monitor is not None else None,
-            cold_start_seconds=self.cold_start_seconds,
-            mmap_cache=self.mmap_cache,
+            # The service was handed in, not loaded: no cold start, no mmap.
+            cold_start_seconds=0.0,
             telemetry_state=telemetry_state,
             events_state=events_state,
         )
@@ -294,8 +243,6 @@ class ProcessShardWorker:
         Micro-batch size of the in-worker service.
     mmap_mode:
         ``"r"`` (default) or ``None`` to materialize the payload per worker.
-    start_timeout:
-        Seconds to wait for the worker's ready handshake.
     telemetry:
         Whether the worker process records telemetry (its process-default
         registry is enabled and its mergeable state rides every snapshot).
@@ -319,7 +266,6 @@ class ProcessShardWorker:
         monitor_path=None,
         batch_size: int = 2048,
         mmap_mode: Optional[str] = "r",
-        start_timeout: float = 120.0,
         telemetry: Optional[bool] = None,
         events: Optional[bool] = None,
     ) -> None:
@@ -356,7 +302,7 @@ class ProcessShardWorker:
         )
         self._process.start()
         child_conn.close()
-        kind, payload = self._receive(timeout=start_timeout)
+        kind, payload = self._receive()
         if kind != "ready":
             self._abandon()
             raise FleetError(f"Shard worker {self.shard_id} failed to start: {payload}")

@@ -26,12 +26,11 @@ def _as_labels(y_true, y_pred) -> Tuple[np.ndarray, np.ndarray]:
 def confusion_matrix(y_true, y_pred) -> np.ndarray:
     """Return the 2x2 confusion matrix ``[[TN, FP], [FN, TP]]`` for binary labels."""
     y_true, y_pred = _as_labels(y_true, y_pred)
-    matrix = np.zeros((2, 2), dtype=np.int64)
-    for true_value, predicted_value in zip(y_true.astype(int), y_pred.astype(int)):
-        if true_value not in (0, 1) or predicted_value not in (0, 1):
-            raise ValidationError("confusion_matrix expects binary 0/1 labels")
-        matrix[true_value, predicted_value] += 1
-    return matrix
+    # Compare values, not truncated casts: 0.7 is not a label.
+    if np.any((y_true != 0) & (y_true != 1)) or np.any((y_pred != 0) & (y_pred != 1)):
+        raise ValidationError("confusion_matrix expects binary 0/1 labels")
+    cells = 2 * y_true.astype(np.int64) + y_pred.astype(np.int64)
+    return np.bincount(cells, minlength=4).reshape(2, 2)
 
 
 def accuracy_score(y_true, y_pred) -> float:

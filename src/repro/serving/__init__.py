@@ -10,8 +10,7 @@ attribute at prediction time):
   (manifest JSON + npz payload, bit-identical prediction round trips,
   :class:`~repro.exceptions.ArtifactError` on any mismatch);
 * :mod:`repro.serving.service` — :class:`PredictionService`, a micro-batched
-  (optionally thread-pooled) serving front end that enforces the
-  intervention's declared capabilities;
+  serving front end that enforces the intervention's declared capabilities;
 * :mod:`repro.serving.monitor` — :class:`FairnessMonitor`, sliding-window
   DI*/AOD*/balanced-accuracy over served traffic plus three drift alarms:
   conformance violation (training-time partition profile), density drift
@@ -52,10 +51,9 @@ which also scores time-to-recovery and fairness-regret.
 Thread safety
 -------------
 A :class:`PredictionService` **is** safe to share across caller threads:
-worker-pool initialization, :class:`ServiceStats` accumulation, and the
-attached monitor's window updates are serialized under one internal service
-lock, and ``predict`` after ``close()`` raises
-:class:`~repro.exceptions.ValidationError` (it never resurrects a pool).  A
+:class:`ServiceStats` accumulation and the attached monitor's window updates
+are serialized under one internal service lock, and ``predict`` after
+``close()`` raises :class:`~repro.exceptions.ValidationError`.  A
 bare :class:`FairnessMonitor` is **not** internally synchronized — share it
 only through a service (which locks around ``update``) or add your own
 lock.  Loaded artifacts and :class:`~repro.interventions.DeployedModel`
@@ -66,9 +64,8 @@ Observability
 With :mod:`repro.telemetry` enabled (``telemetry.enable()`` or any CLI's
 ``--metrics-out``), every ``predict`` records ``serving.requests_total`` /
 ``serving.records_total`` counters and ``serving.request_latency_seconds``
-/ ``serving.batch_rows`` / ``serving.queue_wait_seconds`` histograms, and
-the mmap extraction cache publishes ``serving.mmap_cache.*`` gauges at
-export time.  Pass a private :class:`~repro.telemetry.MetricsRegistry` via
+/ ``serving.batch_rows`` histograms, and the mmap extraction cache
+publishes ``serving.mmap_cache.*`` gauges at export time.  Pass a private :class:`~repro.telemetry.MetricsRegistry` via
 ``PredictionService(..., telemetry=...)`` to keep one service's metrics
 separable (fleet shards do this so their histograms merge exactly); by
 default the process-wide registry is used.  Recording costs one attribute
@@ -89,7 +86,7 @@ shard id, and served sequence — the join key back into the event log.
 
 Scaling out
 -----------
-One service on one thread pool is the single-shard case.  To serve the same
+One service is the single-shard case.  To serve the same
 artifact from N shards, see :mod:`repro.fleet`: ``load_artifact(...,
 mmap_mode="r")`` memory-maps the payload so every extra worker's cold start
 is O(manifest) rather than O(weights), per-shard monitors stay mergeable —

@@ -120,12 +120,7 @@ def cmd_serve(args) -> int:
     monitor = FairnessMonitor(
         window_size=args.window, profile=find_profile(loaded)
     )
-    service = PredictionService(
-        loaded,
-        batch_size=args.batch_size,
-        max_workers=args.workers,
-        monitor=monitor,
-    )
+    service = PredictionService(loaded, batch_size=args.batch_size, monitor=monitor)
     split = load_split(args)
     deploy = split.deploy
     if monitor.profile is not None:
@@ -206,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--rows", type=int, default=0, help="traffic volume (0 = deploy split size)")
     serve.add_argument("--request-size", type=int, default=1024, help="records per request")
     serve.add_argument("--batch-size", type=int, default=512, help="micro-batch size")
-    serve.add_argument("--workers", type=int, default=None, help="thread-pool width")
     serve.add_argument("--window", type=int, default=5000, help="monitor window size")
     add_dump_options(serve)
     serve.set_defaults(func=cmd_serve)

@@ -61,7 +61,7 @@ from repro.exceptions import ArtifactError, ReproError, ValidationError
 from repro.serving.artifacts import find_profile, load_artifact, save_artifact
 from repro.serving.monitor import FairnessMonitor, MonitorThresholds
 from repro.serving.service import PredictionService, ServiceStats
-from repro.telemetry import MetricsRegistry, get_event_log, get_registry
+from repro.telemetry import MetricsRegistry, get_event_log
 
 MITIGATION_SCHEMA_VERSION = 1
 """Bumped whenever the persisted audit-trail layout changes incompatibly."""
@@ -75,6 +75,16 @@ TRANSITION_EVENTS = (
     "promote",
     "reject",
 )
+
+#: Bound on the controller's labelled-row buffer; the oldest rows drop first.
+BUFFER_ROWS = 4000
+
+#: Promotion needs the shadow's windowed DI* within this of the last healthy DI*.
+DI_TOLERANCE = 0.10
+
+#: Promotion needs the shadow's balanced accuracy within this of the last
+#: healthy level.
+ACCURACY_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -161,18 +171,6 @@ class ThresholdCalibration:
 # --------------------------------------------------------------------------
 # threshold calibration
 # --------------------------------------------------------------------------
-
-
-def _alarmed_channels(monitor: FairnessMonitor) -> Tuple[str, ...]:
-    """Names of the monitor channels currently raising an alarm."""
-    channels = []
-    if monitor.profile is not None and monitor.drift_status().alarm:
-        channels.append("conformance")
-    if monitor.density_estimator is not None and monitor.density_status().alarm:
-        channels.append("density")
-    if monitor.group_baseline_fraction is not None and monitor.group_status().alarm:
-        channels.append("group")
-    return tuple(channels)
 
 
 def calibrate_thresholds(
@@ -347,23 +345,18 @@ class MitigationController:
         monitor's setting); the refit window :class:`Dataset` and the
         shadow monitor's density refit need it.
     min_refit_rows:
-        Labelled rows that must be buffered before a refit is attempted.
-    buffer_rows:
-        Bound on the labelled-row buffer (oldest rows are dropped first).
+        Labelled rows that must be buffered before a refit is attempted; at
+        most :data:`BUFFER_ROWS`, the bound on the labelled-row buffer.
     min_shadow_steps, max_shadow_steps:
         A candidate is scored only after ``min_shadow_steps`` shadow updates
         and rejected after ``max_shadow_steps`` without promotion.
-    di_tolerance, accuracy_tolerance:
         Promotion requires the shadow's windowed DI* within
-        ``di_tolerance`` of the last healthy DI* and its balanced accuracy
-        within ``accuracy_tolerance`` of the last healthy level.
+        :data:`DI_TOLERANCE` of the last healthy DI* and its balanced
+        accuracy within :data:`ACCURACY_TOLERANCE` of the last healthy level.
     cooldown_steps:
         Steps after a promotion/rejection during which alarms are ignored
         (mixed windows legitimately stay alarmed while drifted rows age
         out).
-    refit_density:
-        Refit a fresh KDE on the drifted window for the shadow monitor's
-        density channel (only when the primary monitor has one).
     telemetry:
         Optional :class:`~repro.telemetry.MetricsRegistry`; defaults to the
         primary service's registry.
@@ -380,13 +373,9 @@ class MitigationController:
         seed: int = 7,
         n_numeric_features: Optional[int] = None,
         min_refit_rows: int = 400,
-        buffer_rows: int = 4000,
         min_shadow_steps: int = 5,
         max_shadow_steps: int = 25,
-        di_tolerance: float = 0.10,
-        accuracy_tolerance: float = 0.05,
         cooldown_steps: int = 5,
-        refit_density: bool = True,
         telemetry: Optional[MetricsRegistry] = None,
     ) -> None:
         if service.monitor is None:
@@ -396,14 +385,15 @@ class MitigationController:
             )
         if min_refit_rows < 1:
             raise ValidationError("min_refit_rows must be at least 1")
-        if buffer_rows < min_refit_rows:
-            raise ValidationError("buffer_rows must be at least min_refit_rows")
+        if min_refit_rows > BUFFER_ROWS:
+            raise ValidationError(
+                f"min_refit_rows must be at most BUFFER_ROWS ({BUFFER_ROWS}), "
+                f"the bound on the labelled-row buffer; got {min_refit_rows}"
+            )
         if min_shadow_steps < 1:
             raise ValidationError("min_shadow_steps must be at least 1")
         if max_shadow_steps < min_shadow_steps:
             raise ValidationError("max_shadow_steps must be at least min_shadow_steps")
-        if di_tolerance < 0 or accuracy_tolerance < 0:
-            raise ValidationError("promotion tolerances must be non-negative")
         if cooldown_steps < 0:
             raise ValidationError("cooldown_steps must be non-negative")
         self.service = service
@@ -418,13 +408,9 @@ class MitigationController:
             else service.monitor.n_numeric_features
         )
         self.min_refit_rows = int(min_refit_rows)
-        self.buffer_rows = int(buffer_rows)
         self.min_shadow_steps = int(min_shadow_steps)
         self.max_shadow_steps = int(max_shadow_steps)
-        self.di_tolerance = float(di_tolerance)
-        self.accuracy_tolerance = float(accuracy_tolerance)
         self.cooldown_steps = int(cooldown_steps)
-        self.refit_density = bool(refit_density)
         self.telemetry = telemetry if telemetry is not None else service.telemetry
 
         self.state = "monitoring"
@@ -512,7 +498,7 @@ class MitigationController:
             (X, np.asarray(y_true).ravel(), np.asarray(group).ravel())
         )
         self._buffer_count += X.shape[0]
-        while self._buffer_count - self._buffer[0][0].shape[0] >= self.buffer_rows:
+        while self._buffer_count - self._buffer[0][0].shape[0] >= BUFFER_ROWS:
             dropped, *_ = self._buffer.pop(0)
             self._buffer_count -= dropped.shape[0]
 
@@ -567,7 +553,7 @@ class MitigationController:
             self._cooldown -= 1
             return
         if self.state == "monitoring":
-            channels = _alarmed_channels(self.monitor)
+            channels = self.monitor.alarmed_channels()
             if channels:
                 self._record(
                     "alarm",
@@ -656,7 +642,7 @@ class MitigationController:
     def _start_shadow(self, result, split) -> None:
         primary_monitor = self.monitor
         density = None
-        if self.refit_density and primary_monitor.density_estimator is not None:
+        if primary_monitor.density_estimator is not None:
             # Re-anchor the density channel on the drifted regime: clone the
             # primary KDE's configuration, fit on the window's train rows.
             density = KernelDensity(
@@ -681,7 +667,6 @@ class MitigationController:
         self._shadow = PredictionService(
             result,
             batch_size=self.service.batch_size,
-            max_workers=self.service.max_workers,
             monitor=shadow_monitor,
             telemetry=MetricsRegistry(enabled=self.telemetry.enabled),
         )
@@ -705,14 +690,14 @@ class MitigationController:
             return
         shadow_di, shadow_bacc = self._windowed_health(shadow.monitor)
         di_ok = shadow_di is not None and (
-            self._healthy_di is None or shadow_di >= self._healthy_di - self.di_tolerance
+            self._healthy_di is None or shadow_di >= self._healthy_di - DI_TOLERANCE
         )
         bacc_ok = (
             self._healthy_bacc is None
             or shadow_bacc is None
-            or shadow_bacc >= self._healthy_bacc - self.accuracy_tolerance
+            or shadow_bacc >= self._healthy_bacc - ACCURACY_TOLERANCE
         )
-        calm = not _alarmed_channels(shadow.monitor)
+        calm = not shadow.monitor.alarmed_channels()
         if di_ok and bacc_ok and calm:
             self._promote(shadow_di, shadow_bacc)
         elif self._shadow_steps >= self.max_shadow_steps:

@@ -607,6 +607,21 @@ class FairnessMonitor(BaseEstimator):
         """Highest sequence stamp folded into this monitor (-1 before any)."""
         return self._next_sequence - 1
 
+    def alarmed_channels(self) -> Tuple[str, ...]:
+        """Names of the channels currently raising an alarm.
+
+        Equals ``tuple(alarm_report()["alarmed"])`` without building the
+        rest of the report.
+        """
+        channels = []
+        if self.profile is not None and self.drift_status().alarm:
+            channels.append("conformance")
+        if self.density_estimator is not None and self.density_status().alarm:
+            channels.append("density")
+        if self._baseline_group_fraction is not None and self.group_status().alarm:
+            channels.append("group")
+        return tuple(channels)
+
     def alarm_report(self) -> Dict[str, Any]:
         """One attribution snapshot explaining the monitor's current alarms.
 

@@ -3,10 +3,10 @@
 The service is the consumer of the serving contract the intervention layer
 declares: it loads a :class:`~repro.interventions.DeployedModel` (directly,
 from a :class:`~repro.interventions.PipelineResult`, or from a saved
-artifact), splits incoming requests into micro-batches, optionally fans the
-batches across a thread pool (NumPy releases the GIL in the hot kernels), and
-enforces the intervention's declared capabilities: a request without group
-membership is rejected *only* when the producing intervention declared
+artifact), splits incoming requests into micro-batches that it predicts one
+after another on the caller's thread, and enforces the intervention's
+declared capabilities: a request without group membership is rejected
+*only* when the producing intervention declared
 ``requires_group_at_predict`` — ConFair and DiffFair traffic stays
 group-blind end to end, which is the paper's deployment premise.
 
@@ -18,29 +18,25 @@ conformance-drift scoring).
 Thread safety
 -------------
 One :class:`PredictionService` may be shared across caller threads: the
-worker-pool initialization, the :class:`ServiceStats` accumulation, and the
-monitor feed are serialized under a single internal lock, so concurrent
-``predict`` calls never leak a second pool or drop a stats update, and the
-attached monitor sees whole batches in a consistent order (the *relative*
-order of concurrent requests is whatever the race resolves to, as for any
-concurrent server).  ``close`` is idempotent; a ``predict`` after ``close``
-raises :class:`~repro.exceptions.ValidationError` instead of silently
-resurrecting a worker pool.  The model itself must be read-only at predict
-time (every shipped learner is).
+:class:`ServiceStats` accumulation and the monitor feed are serialized under
+a single internal lock, so concurrent ``predict`` calls never drop a stats
+update, and the attached monitor sees whole batches in a consistent order
+(the *relative* order of concurrent requests is whatever the race resolves
+to, as for any concurrent server).  ``close`` is idempotent; a ``predict``
+after ``close`` raises :class:`~repro.exceptions.ValidationError`.  The
+model itself must be read-only at predict time (every shipped learner is).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.datasets.preprocessing import PreprocessingPipeline
 from repro.exceptions import ArtifactError, ValidationError
 from repro.fairness.report import FairnessReport
 from repro.fairness.streaming import StreamCounts, report_from_counts
@@ -87,26 +83,18 @@ class PredictionService:
         :meth:`DeployedModel.from_predictor`).
     batch_size:
         Maximum rows per micro-batch.
-    max_workers:
-        Thread-pool width for concurrent micro-batches; ``None``/``1`` serves
-        sequentially.  Results are order-preserving either way.
     monitor:
         Optional :class:`FairnessMonitor` fed after every request.
-    preprocessor:
-        Optional fitted :class:`PreprocessingPipeline`; enables
-        :meth:`predict_records` on raw numeric/categorical columns, reusing
-        the fit-time scaler and one-hot vocabulary vectorized.
     telemetry:
         Optional :class:`~repro.telemetry.MetricsRegistry` to record into;
         defaults to the process-wide registry.  When the registry is enabled
         every request feeds ``serving.requests_total`` /
         ``serving.records_total`` counters and the
-        ``serving.request_latency_seconds`` / ``serving.batch_rows`` /
-        ``serving.queue_wait_seconds`` histograms; request latency is end
-        to end, from the start of the model predict until the monitor feed
-        and the event emit are done (:class:`ServiceStats` times the same
-        interval).  When disabled the cost is
-        one attribute read per request.  Fleet shards pass private
+        ``serving.request_latency_seconds`` / ``serving.batch_rows``
+        histograms; request latency is end to end, from the start of the
+        model predict until the monitor feed and the event emit are done
+        (:class:`ServiceStats` times the same interval).  When disabled the
+        cost is one attribute read per request.  Fleet shards pass private
         registries so per-shard histograms merge without double counting.
     events:
         Optional :class:`~repro.telemetry.EventLog` (flight recorder);
@@ -125,9 +113,7 @@ class PredictionService:
         model,
         *,
         batch_size: int = 2048,
-        max_workers: Optional[int] = None,
         monitor: Optional[FairnessMonitor] = None,
-        preprocessor: Optional[PreprocessingPipeline] = None,
         telemetry: Optional[MetricsRegistry] = None,
         events: Optional[EventLog] = None,
         shard_id: Optional[int] = None,
@@ -138,13 +124,9 @@ class PredictionService:
             model = DeployedModel.from_predictor(model, name=type(model).__name__)
         if batch_size < 1:
             raise ValidationError("batch_size must be at least 1")
-        if max_workers is not None and max_workers < 1:
-            raise ValidationError("max_workers must be at least 1 when given")
         self.model = model
         self.batch_size = int(batch_size)
-        self.max_workers = max_workers
         self.monitor = monitor
-        self.preprocessor = preprocessor
         self.stats = ServiceStats()
         self.telemetry = telemetry if telemetry is not None else get_registry()
         self.events = events if events is not None else get_event_log()
@@ -158,10 +140,8 @@ class PredictionService:
         self._m_batch_rows = self.telemetry.histogram(
             "serving.batch_rows", buckets=DEFAULT_SIZE_BUCKETS, resolution=1.0
         )
-        self._m_queue_wait = self.telemetry.histogram("serving.queue_wait_seconds")
-        self._pool: Optional[ThreadPoolExecutor] = None
-        # Serializes pool init, stats accumulation, the monitor feed, and
-        # the closed flag; never held across a model predict call.
+        # Serializes stats accumulation, the monitor feed, and the closed
+        # flag; never held across a model predict call.
         self._lock = threading.Lock()
         self._closed = False
 
@@ -276,16 +256,6 @@ class PredictionService:
                 span_handle.set(sequence=int(served_sequence))
         return predictions
 
-    def predict_records(self, numeric, categorical=None, group=None, *, y_true=None) -> np.ndarray:
-        """Serve *raw* records through the fit-time preprocessing, then predict."""
-        if self.preprocessor is None:
-            raise ValidationError(
-                "PredictionService has no preprocessor; construct it with "
-                "preprocessor= to serve raw records"
-            )
-        X = self.preprocessor.transform_features(numeric, categorical)
-        return self.predict(X, group, y_true=y_true)
-
     def score(self, X, y_true, group) -> FairnessReport:
         """Serve a labelled batch and return its offline-equivalent report.
 
@@ -297,18 +267,13 @@ class PredictionService:
         return report_from_counts(StreamCounts.from_batch(predictions, group, y_true))
 
     def close(self) -> None:
-        """Shut down the worker pool and refuse further predictions.
+        """Refuse further predictions.
 
         Idempotent.  Subsequent :meth:`predict` calls raise
-        :class:`~repro.exceptions.ValidationError` — they used to silently
-        resurrect a fresh pool, which leaked executors and masked lifecycle
-        bugs in callers.
+        :class:`~repro.exceptions.ValidationError`.
         """
         with self._lock:
             self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     def __enter__(self) -> "PredictionService":
         return self
@@ -317,18 +282,6 @@ class PredictionService:
         self.close()
 
     # ----------------------------------------------------------- batching
-    def _worker_pool(self) -> ThreadPoolExecutor:
-        # One pool for the service's lifetime: per-request thread spawn and
-        # join would dominate small-request latency.  Lazy init runs under
-        # the service lock — two concurrent first requests used to race the
-        # None check and each build an executor, leaking one.
-        with self._lock:
-            if self._closed:
-                raise ValidationError("PredictionService is closed")
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            return self._pool
-
     def _predict_batched(self, X: np.ndarray, group) -> np.ndarray:
         n = X.shape[0]
         if n == 0:
@@ -338,24 +291,7 @@ class PredictionService:
         if recording:
             for sl in slices:
                 self._m_batch_rows.observe(sl.stop - sl.start)
-        if self.max_workers is not None and self.max_workers > 1 and len(slices) > 1:
-            if recording:
-                # Queue wait = time a micro-batch sat in the pool's queue
-                # between submission and a worker thread picking it up.
-                queue_wait = self._m_queue_wait
-                submitted = time.perf_counter()
-
-                def run(sl: slice) -> np.ndarray:
-                    queue_wait.observe(time.perf_counter() - submitted)
-                    return self._predict_one(X, group, sl)
-
-                chunks = list(self._worker_pool().map(run, slices))
-            else:
-                chunks = list(
-                    self._worker_pool().map(lambda sl: self._predict_one(X, group, sl), slices)
-                )
-        else:
-            chunks = [self._predict_one(X, group, sl) for sl in slices]
+        chunks = [self._predict_one(X, group, sl) for sl in slices]
         return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
     def _predict_one(self, X: np.ndarray, group, sl: slice) -> np.ndarray:

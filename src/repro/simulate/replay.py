@@ -174,19 +174,6 @@ class ReplayHarness:
         monitor is rebuilt from the shard windows as traffic flows)."""
         return self.service.monitor
 
-    # ----------------------------------------------------------- channels
-    def _alarm_channels(self) -> Tuple[str, ...]:
-        """Names of the monitor channels currently raising an alarm."""
-        monitor = self.monitor
-        channels = []
-        if monitor.profile is not None and monitor.drift_status().alarm:
-            channels.append("conformance")
-        if monitor.density_estimator is not None and monitor.density_status().alarm:
-            channels.append("density")
-        if monitor.group_baseline_fraction is not None and monitor.group_status().alarm:
-            channels.append("group")
-        return tuple(channels)
-
     # ------------------------------------------------------------- replay
     def replay(
         self,
@@ -244,7 +231,7 @@ class ReplayHarness:
                 ) as step_span:
                     predictions = self.service.predict(batch.X, batch.group, y_true=batch.y)
                     stream.observe(batch, predictions)
-                    channels = self._alarm_channels()
+                    channels = self.monitor.alarmed_channels()
                     step_span.set(channels=list(channels))
                 if channels != previous_channels and events.enabled:
                     # Edge detection happens here — the one place the merged

@@ -136,8 +136,8 @@ class SuiteRunner:
         Optional :class:`~repro.serving.MonitorThresholds` shared by every
         scenario's monitor (derive one with :meth:`calibrate`); defaults to
         ``MonitorThresholds()``.
-    service_batch_size, max_workers:
-        Micro-batching of the underlying service.
+    service_batch_size:
+        Micro-batch size of the underlying service.
     intervention, learner, intervention_params, fit_n_jobs:
         The refit recipe handed to :class:`~repro.serving.MitigationController`
         when a replay runs with ``mitigate=True`` (defaults mirror the
@@ -145,7 +145,7 @@ class SuiteRunner:
     mitigation_params:
         Extra keyword arguments forwarded verbatim to
         :class:`~repro.serving.MitigationController` (``min_refit_rows``,
-        ``min_shadow_steps``, ``di_tolerance``, …).
+        ``min_shadow_steps``, ``max_shadow_steps``, ``cooldown_steps``).
     """
 
     def __init__(
@@ -159,7 +159,6 @@ class SuiteRunner:
         window_size: int = 2000,
         thresholds: Optional[MonitorThresholds] = None,
         service_batch_size: int = 512,
-        max_workers: Optional[int] = None,
         intervention: str = "confair",
         learner: str = "lr",
         intervention_params: Optional[Dict[str, object]] = None,
@@ -173,7 +172,6 @@ class SuiteRunner:
         self.window_size = int(window_size)
         self.thresholds = thresholds if thresholds is not None else MonitorThresholds()
         self.service_batch_size = int(service_batch_size)
-        self.max_workers = max_workers
         self.intervention = intervention
         self.learner = learner
         self.intervention_params = dict(intervention_params or {})
@@ -216,7 +214,6 @@ class SuiteRunner:
         batch_size: int = 128,
         seed: int = 0,
         target_false_alarm_rate: float = 0.05,
-        apply: bool = False,
     ) -> ThresholdCalibration:
         """Derive data-driven thresholds from a stationary control replay.
 
@@ -224,9 +221,7 @@ class SuiteRunner:
         hands the batches to
         :func:`repro.serving.calibrate_thresholds`, which sets each alarm
         cutoff just above what clean traffic reaches at the requested
-        false-alarm budget.  With ``apply=True`` the runner adopts the
-        calibrated :class:`~repro.serving.MonitorThresholds` for every
-        subsequent monitor it builds.
+        false-alarm budget.
         """
         stream = TrafficStream(
             deploy,
@@ -235,14 +230,11 @@ class SuiteRunner:
             batch_size=batch_size,
             random_state=seed,
         )
-        calibration = calibrate_thresholds(
+        return calibrate_thresholds(
             self.make_monitor(),
             list(stream),
             target_false_alarm_rate=target_false_alarm_rate,
         )
-        if apply:
-            self.thresholds = calibration.thresholds
-        return calibration
 
     def make_service(
         self, *, shards: Optional[int] = None, mitigate: bool = False, seed: int = 7
@@ -272,7 +264,6 @@ class SuiteRunner:
                 PredictionService(
                     self.model,
                     batch_size=self.service_batch_size,
-                    max_workers=self.max_workers,
                     monitor=self.make_monitor(),
                 ),
                 intervention=self.intervention,
@@ -287,7 +278,6 @@ class SuiteRunner:
             return PredictionService(
                 self.model,
                 batch_size=self.service_batch_size,
-                max_workers=self.max_workers,
                 monitor=self.make_monitor(),
             )
         # Imported lazily: repro.fleet's replay helpers import this module.
@@ -309,7 +299,6 @@ class SuiteRunner:
                 PredictionService(
                     self.model,
                     batch_size=self.service_batch_size,
-                    max_workers=self.max_workers,
                     monitor=self.make_monitor(),
                     telemetry=MetricsRegistry(enabled=telemetry_enabled()),
                     events=EventLog(enabled=events_enabled()),

@@ -10,10 +10,10 @@ Every layer of the stack — fit (:func:`repro.core.profile_partitions`,
   **gauges** (``density.backend_cache.hits``, folded in from
   ``backend_cache_stats()`` by a collector at export time).
 - **Histograms** (``serving.request_latency_seconds``,
-  ``serving.batch_rows``, ``serving.queue_wait_seconds``) with fixed buckets
-  and **exact merges**: observations are quantized to integers at record
-  time, so per-shard histograms fold into one fleet view bit-identically to
-  a histogram that observed the union stream — the same contract
+  ``serving.batch_rows``) with fixed buckets and **exact merges**:
+  observations are quantized to integers at record time, so per-shard
+  histograms fold into one fleet view bit-identically to a histogram that
+  observed the union stream — the same contract
   :meth:`repro.serving.FairnessMonitor.merge` makes for fairness state.
 - **Spans** (``with span("fit.profile_partitions"): ...``) with
   parent/child nesting, wall-time, and structured attributes, buffered per

@@ -39,7 +39,7 @@ import json
 import threading
 from collections import deque
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import TelemetryError
 
@@ -376,8 +376,3 @@ def _validate_state(state: Any) -> Dict[str, Any]:
         "n_emitted": n_emitted,
         "records": cleaned,
     }
-
-
-def merge_event_states(states: Iterable[Optional[Dict[str, Any]]]) -> Dict[str, Any]:
-    """Convenience: merge states skipping ``None`` entries (absent shards)."""
-    return EventLog.merge_state_dicts([state for state in states if state is not None])

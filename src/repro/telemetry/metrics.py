@@ -64,6 +64,10 @@ _QUANTILES: Tuple[Tuple[str, float], ...] = (
     ("p50", 0.50), ("p90", 0.90), ("p95", 0.95), ("p99", 0.99),
 )
 
+#: Capacity of a registry's finished-span buffer; the oldest records beyond
+#: it are dropped and counted into the ``span.dropped`` counter.
+MAX_SPANS = 4096
+
 _PROM_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
@@ -226,6 +230,14 @@ class Histogram:
         with self._lock:
             counts = list(self._counts)
             max_scaled = self._max_scaled
+        return self._quantile_of(counts, max_scaled, q)
+
+    def _quantile_of(
+        self, counts: List[int], max_scaled: Optional[int], q: float
+    ) -> Optional[float]:
+        """The bucket walk behind :meth:`quantile` and :meth:`summary`, over
+        a snapshot of the counts and max taken under the lock."""
+
         total = sum(counts)
         if total == 0 or max_scaled is None:
             return None
@@ -306,21 +318,7 @@ class Histogram:
             max_scaled = self._max_scaled
             exemplars = {index: dict(e) for index, e in self._exemplars.items()}
         total = sum(counts)
-        quantiles: Dict[str, Optional[float]] = {}
-        observed_max = None if max_scaled is None else max_scaled * self._resolution
-        for label, q in _QUANTILES:
-            if total == 0 or observed_max is None:
-                quantiles[label] = None
-                continue
-            rank = max(1, math.ceil(q * total))
-            cumulative = 0
-            value: Optional[float] = observed_max
-            for upper, bucket_count in zip(self._uppers, counts):
-                cumulative += bucket_count
-                if cumulative >= rank:
-                    value = min(upper, observed_max)
-                    break
-            quantiles[label] = value
+        quantiles = {label: self._quantile_of(counts, max_scaled, q) for label, q in _QUANTILES}
         cumulative = 0
         buckets: List[Dict[str, Any]] = []
         for index, (upper, bucket_count) in enumerate(zip(self._uppers, counts)):
@@ -338,7 +336,7 @@ class Histogram:
             "sum": sum_scaled * self._resolution,
             "mean": None if total == 0 else sum_scaled * self._resolution / total,
             "min": None if min_scaled is None else min_scaled * self._resolution,
-            "max": observed_max,
+            "max": None if max_scaled is None else max_scaled * self._resolution,
             "quantiles": quantiles,
             "buckets": buckets,
         }
@@ -359,26 +357,17 @@ class MetricsRegistry:
     process-local diagnostics and deliberately stay out of mergeable state.
     """
 
-    def __init__(self, *, enabled: bool = False, max_spans: int = 4096) -> None:
-        if int(max_spans) < 1:
-            raise TelemetryError("max_spans must be at least 1")
+    def __init__(self, *, enabled: bool = False) -> None:
         self._lock = threading.RLock()
         self._enabled = bool(enabled)
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._collectors: List[Callable[["MetricsRegistry"], None]] = []
-        self._spans: deque = deque(maxlen=int(max_spans))
+        self._spans: deque = deque(maxlen=MAX_SPANS)
         self._spans_dropped = 0
         self._span_ids = itertools.count(1)
         self._span_local = threading.local()
-
-    @property
-    def max_spans(self) -> int:
-        """Capacity of the finished-span buffer (oldest records beyond it
-        are dropped and counted into the ``span.dropped`` counter)."""
-
-        return int(self._spans.maxlen or 0)
 
     # -- enablement --------------------------------------------------------
 

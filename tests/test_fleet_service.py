@@ -253,7 +253,7 @@ class TestProcessWorkers:
 
     def test_missing_artifact_fails_the_handshake(self, tmp_path):
         with pytest.raises(FleetError, match="failed to start"):
-            ProcessShardWorker(tmp_path / "nowhere", start_timeout=60.0)
+            ProcessShardWorker(tmp_path / "nowhere")
 
     def test_closed_worker_rejects_requests(self, fitted):
         _, artifact = fitted
@@ -330,20 +330,6 @@ class TestFleetCli:
     def test_report_rejects_missing_file(self, tmp_path, capsys):
         assert fleet_main(["report", "--input", str(tmp_path / "missing.json")]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_process_backend_rejects_workers(self, tmp_path, capsys):
-        # Process shards never read --workers; accepting it would make
-        # `--workers 0` pass here while the inline backend rejects it.
-        code = fleet_main(
-            [
-                "serve",
-                "--backend", "process",
-                "--workers", "0",
-                "--artifact", str(tmp_path / "unused"),
-            ]
-        )
-        assert code == 2
-        assert "error: --workers" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "main, argv",

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
+from repro.fairness import evaluate_predictions
 from repro.learners.metrics import (
     accuracy_score,
     balanced_accuracy_score,
@@ -63,6 +66,28 @@ class TestConfusionBasedMetrics:
     def test_non_binary_rejected(self):
         with pytest.raises(ValidationError):
             confusion_matrix([0, 2], [0, 1])
+
+    def test_fractional_labels_rejected_not_truncated(self):
+        with pytest.raises(ValidationError):
+            confusion_matrix([1, 0], [0.7, 0.2])
+        with pytest.raises(ValidationError):
+            balanced_accuracy_score([1, 0], [0.9, 0])
+        with pytest.raises(ValidationError):
+            evaluate_predictions([1, 0, 1, 0], [0.7, 0.2, 1, 0], [0, 0, 1, 1])
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        labels=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=60),
+        dtype=st.sampled_from([np.int64, np.float64, np.bool_]),
+    )
+    def test_matrix_equals_masked_counts(self, labels, dtype):
+        y_true = np.array([t for t, _ in labels]).astype(dtype)
+        y_pred = np.array([p for _, p in labels]).astype(dtype)
+        expected = [
+            [np.sum((y_true == 0) & (y_pred == 0)), np.sum((y_true == 0) & (y_pred == 1))],
+            [np.sum((y_true == 1) & (y_pred == 0)), np.sum((y_true == 1) & (y_pred == 1))],
+        ]
+        assert confusion_matrix(y_true, y_pred).tolist() == expected
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,10 +1,8 @@
 """Concurrency contract of ``PredictionService``.
 
-Pins the three serving bugfixes: exactly-once lazy worker-pool init (two
-racing first requests used to each build an executor and leak one), an
-explicit error for ``predict`` after ``close()`` (which used to silently
-resurrect a pool), and exact ``ServiceStats`` accounting under threaded
-callers (the counters are read-modify-write and used to race).
+Pins exact ``ServiceStats`` accounting and the monitor feed under threaded
+callers (the counters are read-modify-write and used to race), and an
+explicit error for ``predict`` after ``close()``.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.serving import FairnessMonitor, PredictionService
-from repro.serving import service as service_module
 
 N_THREADS = 8
 N_REQUESTS_PER_THREAD = 25
@@ -67,39 +64,12 @@ def test_monitor_sees_every_record_under_threaded_load():
     assert monitor.n_seen == N_THREADS * N_REQUESTS_PER_THREAD * ROWS_PER_REQUEST
 
 
-def test_worker_pool_initialized_exactly_once(monkeypatch):
-    created = []
-    real_executor = service_module.ThreadPoolExecutor
-
-    class CountingExecutor(real_executor):
-        def __init__(self, *args, **kwargs):
-            created.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(service_module, "ThreadPoolExecutor", CountingExecutor)
-    service = PredictionService(_ThresholdModel(), batch_size=2, max_workers=4)
-    barrier = threading.Barrier(N_THREADS)
-
-    def worker(thread_id: int) -> None:
-        barrier.wait()  # maximize the chance of racing first requests
-        service.predict(_request_batch(thread_id))
-
-    with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
-        for future in [pool.submit(worker, t) for t in range(N_THREADS)]:
-            future.result()
-
-    assert len(created) == 1, f"{len(created)} pools created; one leaked per extra"
-    assert service._pool is created[0]
-    service.close()
-
-
 def test_predict_after_close_raises_instead_of_resurrecting():
-    service = PredictionService(_ThresholdModel(), batch_size=4, max_workers=2)
+    service = PredictionService(_ThresholdModel(), batch_size=4)
     service.predict(_request_batch(0))
     service.close()
     with pytest.raises(ValidationError, match="closed"):
         service.predict(_request_batch(1))
-    assert service._pool is None, "close must not leave or rebuild a pool"
 
 
 def test_predict_after_close_raises_for_sequential_service_too():
@@ -110,7 +80,7 @@ def test_predict_after_close_raises_for_sequential_service_too():
 
 
 def test_close_is_idempotent_and_context_manager_still_works():
-    with PredictionService(_ThresholdModel(), max_workers=2) as service:
+    with PredictionService(_ThresholdModel()) as service:
         service.predict(_request_batch(3))
     service.close()  # second close is a no-op
     with pytest.raises(ValidationError):

@@ -33,6 +33,7 @@ from repro.serving import (
     save_audit_trail,
     summarize_transitions,
 )
+from repro.serving.mitigation import ACCURACY_TOLERANCE, BUFFER_ROWS, DI_TOLERANCE
 from repro.simulate import ReplayHarness, SuiteRunner, TrafficStream, make_scenario
 
 SIZE_FACTOR = 0.03
@@ -336,18 +337,14 @@ class TestMitigationLoop:
         # the promotion verdict.
         assert promote["shadow_di_star"] is not None
         if promote["healthy_di_star"] is not None:
-            assert (
-                promote["shadow_di_star"]
-                >= promote["healthy_di_star"] - controller.di_tolerance
-            )
+            assert promote["shadow_di_star"] >= promote["healthy_di_star"] - DI_TOLERANCE
         if (
             promote["healthy_balanced_accuracy"] is not None
             and promote["shadow_balanced_accuracy"] is not None
         ):
             assert (
                 promote["shadow_balanced_accuracy"]
-                >= promote["healthy_balanced_accuracy"]
-                - controller.accuracy_tolerance
+                >= promote["healthy_balanced_accuracy"] - ACCURACY_TOLERANCE
             )
         assert outcome.detected
         assert outcome.mitigation["promoted"] is True
@@ -407,6 +404,8 @@ class TestMitigationLoop:
             make_controller(fitted, min_shadow_steps=10, max_shadow_steps=5)
         with pytest.raises(ValidationError):
             make_controller(fitted, min_refit_rows=0)
+        with pytest.raises(ValidationError, match="BUFFER_ROWS"):
+            make_controller(fitted, min_refit_rows=BUFFER_ROWS + 1)
 
 
 class TestCliMitigate:

@@ -81,8 +81,8 @@ class TestPredictionService:
     def test_batched_equals_unbatched(self, serving_split, diffair_result):
         deploy = serving_split.deploy
         expected = diffair_result.model.predict(deploy.X)
-        for kwargs in ({"batch_size": 7}, {"batch_size": 16, "max_workers": 4}):
-            service = PredictionService(diffair_result, **kwargs)
+        for batch_size in (7, 16):
+            service = PredictionService(diffair_result, batch_size=batch_size)
             np.testing.assert_array_equal(service.predict(deploy.X), expected)
 
     def test_group_capability_enforced(self, serving_split):
@@ -133,11 +133,6 @@ class TestPredictionService:
         latency = registry.histogram("serving.request_latency_seconds")
         assert latency.count == 2
         assert latency.min >= 0.05 and latency.sum >= 0.1
-
-    def test_predict_records_requires_preprocessor(self, diffair_result):
-        service = PredictionService(diffair_result)
-        with pytest.raises(ValidationError, match="preprocessor"):
-            service.predict_records(np.zeros((2, 4)))
 
     def test_score_matches_offline(self, serving_split, diffair_result):
         deploy = serving_split.deploy
@@ -299,7 +294,7 @@ class TestFairnessMonitor:
         path = save_artifact(diffair_result, tmp_path / "diffair")
         monitor = FairnessMonitor(window_size=20_000)
         service = PredictionService.from_artifact(
-            path, batch_size=512, max_workers=4, monitor=monitor
+            path, batch_size=512, monitor=monitor
         )
         deploy = serving_split.deploy
         index = np.tile(np.arange(deploy.n_samples), 10_000 // deploy.n_samples + 1)[:10_000]

@@ -19,7 +19,6 @@ from repro.serving import PredictionService, find_profile, save_artifact
 from repro.simulate import (
     ReplayHarness,
     SuiteRunner,
-    TrafficStream,
     make_scenario,
     make_suite,
 )

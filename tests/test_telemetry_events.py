@@ -253,6 +253,7 @@ class TestAlarmForensics:
         report = monitor.alarm_report()
         assert status.alarm
         assert report["alarmed"] == ["group"]
+        assert monitor.alarmed_channels() == tuple(report["alarmed"])
         channel = report["channels"]["group"]
         assert channel["statistic"] == status.minority_fraction
         assert channel["baseline"] == status.baseline_fraction
@@ -276,6 +277,7 @@ class TestAlarmForensics:
         monitor.update(np.ones(20, dtype=int), np.ones(20, dtype=int))
         report = monitor.alarm_report()
         assert report["alarmed"] == []
+        assert monitor.alarmed_channels() == tuple(report["alarmed"])
         assert report["channels"]["group"]["alarm"] is False
         # Empty-group selection rates are None, not a division crash.
         assert report["group_rates"]["majority"]["selection_rate"] is None

@@ -100,16 +100,6 @@ class TestServiceInstrumentation:
         assert state["counters"]["serving.requests_total"] == 0
         assert sum(state["histograms"]["serving.request_latency_seconds"]["counts"]) == 0
 
-    def test_pooled_predict_records_queue_wait(self, fitted):
-        result, _ = fitted
-        registry = MetricsRegistry(enabled=True)
-        service = PredictionService(
-            result.model, batch_size=16, max_workers=2, telemetry=registry
-        )
-        service.predict(SPLIT.deploy.X[:64])
-        wait = registry.state_dict()["histograms"]["serving.queue_wait_seconds"]
-        assert sum(wait["counts"]) == 4
-
 
 class TestFitSpans:
     def test_pipeline_run_leaves_nested_spans(self, default_registry):

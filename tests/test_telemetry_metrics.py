@@ -24,6 +24,7 @@ from repro.telemetry import (
     DEFAULT_SIZE_BUCKETS,
     MetricsRegistry,
 )
+from repro.telemetry.metrics import MAX_SPANS
 
 SETTINGS = settings(
     max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -98,6 +99,8 @@ class TestHistogram:
         # p99 lands in the le=10 bucket but nothing above 3 was observed.
         assert hist.quantile(0.99) == 3.0
         assert hist.quantile(1.0) == 3.0
+        for label, value in hist.summary()["quantiles"].items():  # "p50" -> 0.50
+            assert value == hist.quantile(int(label[1:]) / 100)
 
     def test_empty_histogram_reports_none(self):
         hist = enabled_registry().histogram("h")
@@ -273,6 +276,19 @@ class TestSpans:
             handle.set(rows=1)  # chainable no-op
         assert registry.trace() == []
         assert registry.span("a") is registry.span("b")  # shared singleton
+
+    def test_full_span_buffer_drops_oldest_and_counts(self):
+        registry = enabled_registry()
+        for index in range(MAX_SPANS + 3):
+            with registry.span("work", index=index):
+                pass
+        trace = registry.trace()
+        assert len(trace) == MAX_SPANS
+        assert trace[0]["attributes"] == {"index": 3}
+        assert registry.state_dict()["counters"]["span.dropped"] == 3
+        registry.export()
+        registry.export()  # publishing the drop count again adds nothing
+        assert registry.state_dict()["counters"]["span.dropped"] == 3
 
     def test_per_thread_stacks_trace_independently(self):
         registry = enabled_registry()
