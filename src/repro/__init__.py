@@ -192,7 +192,7 @@ from repro.exceptions import (
     TelemetryError,
     ValidationError,
 )
-from repro.fairness import FairnessAccumulator, FairnessReport, evaluate_predictions
+from repro.fairness import FairnessReport, evaluate_predictions
 from repro.interventions import (
     DeployedModel,
     FairnessPipeline,
@@ -216,7 +216,7 @@ from repro.telemetry import MetricsRegistry
 # Observability quickstart's `from repro import telemetry`.
 from repro import telemetry
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 # The serving subsystem consumes everything above (interventions, learners,
 # datasets), the simulation subsystem consumes serving, and the fleet
@@ -256,7 +256,6 @@ __all__ = [
     "DeployedModel",
     "DiffFair",
     "ExperimentError",
-    "FairnessAccumulator",
     "FairnessMonitor",
     "FairnessPipeline",
     "FairnessReport",

@@ -12,11 +12,11 @@ Density estimation runs through the batch engine in :mod:`repro.density`:
 backend cache means repeated fits over the same partition (degree sweeps,
 profile rebuilds) share one backend.
 
-This module also owns the canonical **partition iterators**
-(:func:`iter_group_label_partitions`, :func:`iter_group_partitions`): every
-place that walks the four (group, label) partitions — this module,
-:func:`repro.core.profile_partitions`, the streaming fairness counters —
-shares one implementation instead of re-rolling the double loop.
+This module also owns the canonical **partition iterator**
+(:func:`iter_group_label_partitions`): both places that walk the four
+(group, label) partitions — this module and
+:func:`repro.core.profile_partitions` — share one implementation instead of
+re-rolling the double loop.
 """
 
 from __future__ import annotations
@@ -32,15 +32,6 @@ from repro.utils.parallel import thread_map
 
 PartitionKey = Tuple[int, int]
 """(group, label) pair: group 0 = majority W, 1 = minority U."""
-
-
-def iter_group_partitions(group) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield ``(group_value, row_indices)`` for each non-empty binary group."""
-    group = np.asarray(group).ravel()
-    for group_value in (0, 1):
-        rows = np.flatnonzero(group == group_value)
-        if rows.size:
-            yield group_value, rows
 
 
 def iter_group_label_partitions(

@@ -6,6 +6,12 @@ The paper evaluates fairness with Disparate Impact (reported as
 provides those metrics, the per-group rate primitives (selection rate, TPR,
 FPR, FNR), an Equalized-Odds view, and a :class:`FairnessReport` bundling all
 of them for one (dataset, model) evaluation.
+
+There is one way to compute them: :class:`StreamCounts` counts a batch's
+per-group outcomes, and :func:`report_from_counts` turns counts into a
+:class:`FairnessReport`.  :func:`evaluate_predictions` is the one-batch
+case, every metric function returns a field of its report, and the serving
+monitor reports over the counts summed across its window.
 """
 
 from repro.fairness.groups import GroupMapping, group_from_column, group_from_threshold
@@ -17,15 +23,10 @@ from repro.fairness.metrics import (
     equalized_odds_difference,
     group_rates,
 )
-from repro.fairness.report import FairnessReport, evaluate_predictions
-from repro.fairness.streaming import (
-    FairnessAccumulator,
-    StreamCounts,
-    report_from_counts,
-)
+from repro.fairness.report import FairnessReport, evaluate_predictions, report_from_counts
+from repro.fairness.streaming import StreamCounts
 
 __all__ = [
-    "FairnessAccumulator",
     "FairnessReport",
     "GroupMapping",
     "StreamCounts",

@@ -1,8 +1,12 @@
 """Group-fairness metrics.
 
-All metrics operate on ``(y_true, y_pred, group)`` triples where ``group`` is
-0 for the majority ``W`` and 1 for the minority ``U``.  Two reporting
-conventions from the paper are provided:
+All metrics operate on ``(y_true, y_pred, group)`` triples of binary 0/1
+values, where ``group`` is 0 for the majority ``W`` and 1 for the minority
+``U``.  Each metric is a field of the
+:class:`~repro.fairness.report.FairnessReport` that
+:func:`~repro.fairness.report.evaluate_predictions` builds from one
+:class:`~repro.fairness.streaming.StreamCounts`, so a metric and the report
+cannot disagree.  Two reporting conventions from the paper are provided:
 
 * :func:`disparate_impact` returns the raw ratio ``SR_U / SR_W``;
   :func:`disparate_impact_star` folds it to ``min(DI, 1/DI)`` so that higher
@@ -14,18 +18,11 @@ conventions from the paper are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
-
-import numpy as np
+from typing import Dict
 
 from repro.exceptions import ValidationError
-from repro.learners.metrics import (
-    false_negative_rate,
-    false_positive_rate,
-    selection_rate,
-    true_positive_rate,
-)
-from repro.utils.validation import check_consistent_length
+from repro.fairness.report import evaluate_predictions, require_both_groups
+from repro.fairness.streaming import StreamCounts
 
 
 @dataclass(frozen=True)
@@ -47,57 +44,35 @@ class GroupRates:
     has_negatives: bool = True
 
 
-def _split_by_group(y_true, y_pred, group) -> Tuple[np.ndarray, ...]:
-    y_true = np.asarray(y_true).ravel()
-    y_pred = np.asarray(y_pred).ravel()
-    group = np.asarray(group).ravel()
-    check_consistent_length(y_true, y_pred, group, names=("y_true", "y_pred", "group"))
-    if y_true.size == 0:
-        raise ValidationError("Fairness metrics need at least one sample")
-    majority = group == 0
-    minority = group == 1
-    if not majority.any() or not minority.any():
-        raise ValidationError("Both the majority (0) and the minority (1) group must be present")
-    return y_true, y_pred, majority, minority
-
-
 def group_rates(y_true, y_pred, group) -> Dict[str, GroupRates]:
     """Return per-group selection rate, TPR, FPR, and FNR.
 
     Keys are ``"majority"`` and ``"minority"``.
     """
-    y_true, y_pred, majority, minority = _split_by_group(y_true, y_pred, group)
-    result: Dict[str, GroupRates] = {}
-    for key, mask in (("majority", majority), ("minority", minority)):
-        true_block, pred_block = y_true[mask], y_pred[mask]
-        result[key] = GroupRates(
-            selection_rate=selection_rate(pred_block),
-            tpr=true_positive_rate(true_block, pred_block),
-            fpr=false_positive_rate(true_block, pred_block),
-            fnr=false_negative_rate(true_block, pred_block),
-            n_samples=int(mask.sum()),
-            has_positives=bool(np.any(true_block == 1)),
-            has_negatives=bool(np.any(true_block == 0)),
+    counts = StreamCounts.from_batch(y_pred, group, y_true)
+    require_both_groups(counts)
+    return {
+        key: GroupRates(
+            selection_rate=counts.selection_rate(g),
+            tpr=counts.tpr(g),
+            fpr=counts.fpr(g),
+            fnr=counts.fnr(g),
+            n_samples=counts.group_n(g),
+            has_positives=counts.has_positives(g),
+            has_negatives=counts.has_negatives(g),
         )
-    return result
+        for key, g in (("majority", 0), ("minority", 1))
+    }
 
 
 def disparate_impact(y_true, y_pred, group) -> float:
     """Raw Disparate Impact ``SR_U / SR_W`` (∞ when the majority rate is 0)."""
-    rates = group_rates(y_true, y_pred, group)
-    sr_minority = rates["minority"].selection_rate
-    sr_majority = rates["majority"].selection_rate
-    if sr_majority == 0.0:
-        return float("inf") if sr_minority > 0 else 1.0
-    return sr_minority / sr_majority
+    return evaluate_predictions(y_true, y_pred, group).di
 
 
 def disparate_impact_star(y_true, y_pred, group) -> float:
     """Folded Disparate Impact ``min(DI, 1/DI)`` in ``[0, 1]`` — higher is fairer."""
-    di = disparate_impact(y_true, y_pred, group)
-    if di == 0.0 or np.isinf(di):
-        return 0.0
-    return float(min(di, 1.0 / di))
+    return evaluate_predictions(y_true, y_pred, group).di_star
 
 
 def favors_minority(y_true, y_pred, group) -> bool:
@@ -106,7 +81,7 @@ def favors_minority(y_true, y_pred, group) -> bool:
     The paper marks such outcomes with striped bars: bias in favour of the
     minority, which can be acceptable in historically-disadvantaged settings.
     """
-    return disparate_impact(y_true, y_pred, group) > 1.0
+    return evaluate_predictions(y_true, y_pred, group).favors_minority
 
 
 def average_odds_difference(y_true, y_pred, group) -> float:
@@ -116,24 +91,12 @@ def average_odds_difference(y_true, y_pred, group) -> float:
     negatives for FPR) contributes a zero gap rather than a spurious maximal
     one.
     """
-    rates = group_rates(y_true, y_pred, group)
-    minority, majority = rates["minority"], rates["majority"]
-    fpr_gap = (
-        minority.fpr - majority.fpr
-        if minority.has_negatives and majority.has_negatives
-        else 0.0
-    )
-    tpr_gap = (
-        minority.tpr - majority.tpr
-        if minority.has_positives and majority.has_positives
-        else 0.0
-    )
-    return float((fpr_gap + tpr_gap) / 2.0)
+    return evaluate_predictions(y_true, y_pred, group).aod
 
 
 def average_odds_star(y_true, y_pred, group) -> float:
     """Reported AOD ``1 - |AOD|`` in ``[0, 1]`` — higher is fairer."""
-    return float(1.0 - abs(average_odds_difference(y_true, y_pred, group)))
+    return evaluate_predictions(y_true, y_pred, group).aod_star
 
 
 def equalized_odds_difference(y_true, y_pred, group, *, rate: str = "fnr") -> float:
@@ -142,21 +105,15 @@ def equalized_odds_difference(y_true, y_pred, group, *, rate: str = "fnr") -> fl
     Parameters
     ----------
     rate:
-        ``"fnr"`` (paper's Equalized Odds by FNR), ``"fpr"``, or ``"tpr"``.
+        ``"fnr"`` (paper's Equalized Odds by FNR) or ``"fpr"``.
     """
-    rates = group_rates(y_true, y_pred, group)
-    if rate not in ("fnr", "fpr", "tpr"):
-        raise ValidationError("rate must be 'fnr', 'fpr', or 'tpr'")
-    minority, majority = rates["minority"], rates["majority"]
-    needs_positives = rate in ("fnr", "tpr")
-    if needs_positives and not (minority.has_positives and majority.has_positives):
-        return 0.0
-    if rate == "fpr" and not (minority.has_negatives and majority.has_negatives):
-        return 0.0
-    return float(abs(getattr(minority, rate) - getattr(majority, rate)))
+    if rate not in ("fnr", "fpr"):
+        raise ValidationError("rate must be 'fnr' or 'fpr'")
+    report = evaluate_predictions(y_true, y_pred, group)
+    return report.eq_odds_fnr if rate == "fnr" else report.eq_odds_fpr
 
 
 def statistical_parity_difference(y_true, y_pred, group) -> float:
     """Selection-rate gap ``SR_U - SR_W`` (signed)."""
-    rates = group_rates(y_true, y_pred, group)
-    return float(rates["minority"].selection_rate - rates["majority"].selection_rate)
+    report = evaluate_predictions(y_true, y_pred, group)
+    return float(report.selection_rate_minority - report.selection_rate_majority)

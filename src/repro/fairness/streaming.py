@@ -1,23 +1,16 @@
-"""Incremental (streaming) fairness accumulation over served traffic.
+"""Additive per-group counts: the one place group outcomes are counted.
 
-The offline path computes a :class:`~repro.fairness.report.FairnessReport`
-from full prediction arrays.  A serving system sees the same information as a
-*stream* of micro-batches, so this module provides the additive sufficient
-statistics behind every reported metric:
-
-* :class:`StreamCounts` — per-group counts (rows, positive predictions, and
-  the labelled confusion cells) that add and subtract exactly, which is what
-  makes sliding windows cheap: evicting a chunk is integer subtraction, not
-  recomputation;
-* :class:`FairnessAccumulator` — consumes ``(y_pred, group[, y_true])``
-  batches and reproduces the offline report *bit-identically*: every rate is
-  computed with the same count ratios the metric functions in
-  :mod:`repro.fairness.metrics` evaluate, so an accumulator fed the deploy
-  set in any batching agrees with :func:`~repro.fairness.evaluate_predictions`
-  on the same rows.
-
-:class:`~repro.serving.monitor.FairnessMonitor` builds its sliding window on
-top of these primitives.
+Every fairness number the paper reports (DI*, AOD*, balanced accuracy and
+the Equalized-Odds gaps) is a ratio of per-group confusion counts, so one
+:class:`StreamCounts` per set of rows is all a report needs.  The counts
+add and subtract exactly, which makes them a mergeable summary: a report
+over full prediction arrays is the one-batch case, a serving stream sums
+its micro-batches, and a sliding window evicts a chunk by integer
+subtraction instead of recomputation.
+:func:`~repro.fairness.report.report_from_counts` turns counts into a
+:class:`~repro.fairness.report.FairnessReport`, and
+:class:`~repro.serving.monitor.FairnessMonitor` builds its sliding window
+on top of these counts.
 """
 
 from __future__ import annotations
@@ -26,9 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.density_filter import iter_group_partitions
 from repro.exceptions import ValidationError
-from repro.fairness.report import FairnessReport
 
 # Column layout of the per-group count matrix.
 _N, _SELECTED, _TP, _FP, _FN, _TN = range(6)
@@ -37,10 +28,9 @@ _N, _SELECTED, _TP, _FP, _FN, _TN = range(6)
 def fold_disparate_impact(sr_minority: float, sr_majority: float) -> tuple:
     """Return ``(di, di_star)`` from the two selection rates.
 
-    One shared implementation of the reporting convention in
-    :mod:`repro.fairness.metrics` (``inf``/``1.0`` conventions for a zero
-    majority rate, ``di_star = min(di, 1/di)`` with 0 for the degenerate
-    ends), so the streaming and windowed views cannot drift from it.
+    The one implementation of the reporting convention (``inf``/``1.0`` for
+    a zero majority rate, ``di_star = min(di, 1/di)`` with 0 for the
+    degenerate ends), shared by the report and the label-free windowed view.
     """
     if sr_majority == 0.0:
         di = float("inf") if sr_minority > 0 else 1.0
@@ -76,34 +66,29 @@ class StreamCounts:
 
     @classmethod
     def from_batch(cls, y_pred, group, y_true=None) -> "StreamCounts":
-        """Count one batch of predictions (vectorized, no Python loop).
+        """Count one batch of predictions with one ``np.bincount``.
 
         All three arrays must be binary 0/1: the counts are *sufficient*
-        statistics, so a non-binary row silently dropped here would make the
-        streaming report diverge from the offline one — rejecting it keeps
-        the bit-identical guarantee honest.
+        statistics, so a non-binary row silently dropped here would leave
+        every metric computed over fewer rows than the caller passed.
         """
         y_pred = _check_binary("y_pred", y_pred)
         group = _check_binary("group", group)
         if y_pred.shape[0] != group.shape[0]:
             raise ValidationError("y_pred and group must have the same number of rows")
+        code = 4 * group.astype(np.int64) + y_pred.astype(np.int64)
         if y_true is not None:
             y_true = _check_binary("y_true", y_true)
             if y_true.shape[0] != y_pred.shape[0]:
                 raise ValidationError("y_true and y_pred must have the same number of rows")
+            code += 2 * y_true.astype(np.int64)
+        # Per group, the cells of 2 * y_true + y_pred: tn, fp, fn, tp.
+        cells = np.bincount(code, minlength=8).reshape(2, 4)
         counts = np.zeros((2, 6), dtype=np.int64)
-        # The shared per-group iterator (see repro.core.density_filter) keeps
-        # this bookkeeping loop identical to every other partition walk.
-        for g, rows in iter_group_partitions(group):
-            pred = y_pred[rows]
-            counts[g, _N] = rows.size
-            counts[g, _SELECTED] = int(np.sum(pred == 1))
-            if y_true is not None:
-                true = y_true[rows]
-                counts[g, _TP] = int(np.sum((true == 1) & (pred == 1)))
-                counts[g, _FP] = int(np.sum((true == 0) & (pred == 1)))
-                counts[g, _FN] = int(np.sum((true == 1) & (pred == 0)))
-                counts[g, _TN] = int(np.sum((true == 0) & (pred == 0)))
+        counts[:, _N] = cells.sum(axis=1)
+        counts[:, _SELECTED] = cells[:, 1] + cells[:, 3]
+        if y_true is not None:
+            counts[:, _TP:] = cells[:, [3, 1, 2, 0]]
         return cls(counts)
 
     # ------------------------------------------------------------ algebra
@@ -130,11 +115,19 @@ class StreamCounts:
         return int(self.counts[:, _N].sum())
 
     @property
+    def n_selected(self) -> int:
+        return int(self.counts[:, _SELECTED].sum())
+
+    @property
     def n_labelled(self) -> int:
         return int(self.counts[:, _TP:].sum())
 
     def group_n(self, g: int) -> int:
         return int(self.counts[g, _N])
+
+    def confusion(self) -> tuple:
+        """``(tp, fp, fn, tn)`` over both groups."""
+        return tuple(int(cell) for cell in self.counts[:, _TP:].sum(axis=0))
 
     def selection_rate(self, g: int) -> float:
         """Per-group selection rate, as ``selected / n`` (exact count ratio)."""
@@ -161,110 +154,3 @@ class StreamCounts:
 
     def has_negatives(self, g: int) -> bool:
         return int(self.counts[g, _FP] + self.counts[g, _TN]) > 0
-
-
-def report_from_counts(counts: StreamCounts) -> FairnessReport:
-    """Build the offline :class:`FairnessReport` from streaming counts.
-
-    Mirrors :func:`repro.fairness.evaluate_predictions` term by term — the
-    same guarded gaps for undefined rates, the same folding conventions —
-    evaluating each rate as the identical ratio of integers, so the result is
-    bit-identical to the offline report on the same rows.
-    """
-    c = counts.counts
-    if c[:, _N].sum() == 0:
-        raise ValidationError("Fairness metrics need at least one sample")
-    if c[0, _N] == 0 or c[1, _N] == 0:
-        raise ValidationError("Both the majority (0) and the minority (1) group must be present")
-    labelled = counts.n_labelled
-    if labelled != counts.n_samples:
-        raise ValidationError(
-            "A full FairnessReport needs ground-truth labels for every row in the "
-            f"window ({labelled} labelled of {counts.n_samples}); "
-            "use FairnessAccumulator.summary() for unlabelled traffic"
-        )
-
-    sr_minority = counts.selection_rate(1)
-    sr_majority = counts.selection_rate(0)
-    di, di_star = fold_disparate_impact(sr_minority, sr_majority)
-
-    both_negatives = counts.has_negatives(0) and counts.has_negatives(1)
-    both_positives = counts.has_positives(0) and counts.has_positives(1)
-    fpr_gap = (counts.fpr(1) - counts.fpr(0)) if both_negatives else 0.0
-    tpr_gap = (counts.tpr(1) - counts.tpr(0)) if both_positives else 0.0
-    aod = float((fpr_gap + tpr_gap) / 2.0)
-
-    # Overall confusion cells (both groups pooled), matching the offline
-    # metrics that ignore group membership.
-    tp = int(c[:, _TP].sum())
-    fp = int(c[:, _FP].sum())
-    fn = int(c[:, _FN].sum())
-    tn = int(c[:, _TN].sum())
-    positives = tp + fn
-    negatives = fp + tn
-    tpr_all = float(tp / positives) if positives else 0.0
-    tnr_all = float(tn / negatives) if negatives else 0.0
-
-    n_selected = int(c[:, _SELECTED].sum())
-    return FairnessReport(
-        di=di,
-        di_star=di_star,
-        aod=aod,
-        aod_star=float(1.0 - abs(aod)),
-        balanced_accuracy=(tpr_all + tnr_all) / 2.0,
-        accuracy=float((tp + tn) / counts.n_samples),
-        eq_odds_fnr=float(abs(counts.fnr(1) - counts.fnr(0))) if both_positives else 0.0,
-        eq_odds_fpr=float(abs(counts.fpr(1) - counts.fpr(0))) if both_negatives else 0.0,
-        selection_rate_minority=sr_minority,
-        selection_rate_majority=sr_majority,
-        favors_minority=bool(di > 1.0),
-        degenerate=bool(n_selected == 0 or n_selected == counts.n_samples),
-    )
-
-
-class FairnessAccumulator:
-    """Accumulate fairness statistics over a stream of prediction batches.
-
-    The accumulator is the *unbounded* variant (all traffic since creation
-    or the last :meth:`reset`); the serving monitor composes several of
-    these count objects into a sliding window.
-    """
-
-    def __init__(self) -> None:
-        self.totals = StreamCounts()
-        self.n_batches = 0
-
-    def update(self, y_pred, group, y_true=None) -> StreamCounts:
-        """Fold one batch in; returns that batch's own counts (for windowing)."""
-        batch = StreamCounts.from_batch(y_pred, group, y_true)
-        self.totals += batch
-        self.n_batches += 1
-        return batch
-
-    def reset(self) -> None:
-        self.totals = StreamCounts()
-        self.n_batches = 0
-
-    @property
-    def n_samples(self) -> int:
-        return self.totals.n_samples
-
-    def report(self) -> FairnessReport:
-        """Full offline-equivalent report (requires fully-labelled traffic)."""
-        return report_from_counts(self.totals)
-
-    def summary(self) -> dict:
-        """Label-free view: selection rates and DI* from predictions alone."""
-        totals = self.totals
-        if totals.n_samples == 0:
-            return {"n_samples": 0}
-        out = {"n_samples": totals.n_samples, "n_batches": self.n_batches}
-        if totals.group_n(0) and totals.group_n(1):
-            sr_minority = totals.selection_rate(1)
-            sr_majority = totals.selection_rate(0)
-            di, di_star = fold_disparate_impact(sr_minority, sr_majority)
-            out["selection_rate_minority"] = sr_minority
-            out["selection_rate_majority"] = sr_majority
-            out["di"] = di
-            out["di_star"] = di_star
-        return out

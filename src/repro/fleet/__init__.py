@@ -63,7 +63,9 @@ carry it together with the shard id and served sequence, and
 :meth:`FleetService.trace` (or ``repro-telemetry trace --trace-id ...``
 over the dumps) stitches the frontend and shard views of one request back
 together.  Worker process start/close lands in the frontend log as
-``worker_lifecycle`` events with cold-start timings.
+``worker_lifecycle`` events carrying the shard id and the phase; the
+cold-start timings stay in :meth:`FleetService.snapshots` and the fleet
+report, so two runs of one command record identical events.
 
 Async callers use ``await fleet.predict_async(...)``, which runs
 ``predict`` on the event loop's default executor.  The ``repro-fleet`` CLI

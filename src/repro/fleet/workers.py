@@ -327,7 +327,6 @@ class ProcessShardWorker:
                 sequence=int(sequence),
                 shard_id=self.shard_id,
                 phase=phase,
-                cold_start_seconds=round(self.cold_start_seconds, 4),
             )
 
     def _death_details(self) -> str:

@@ -95,11 +95,8 @@ def cmd_score(args) -> int:
     # requires_group_at_predict then rejects the request (exit code 2),
     # which is exactly the capability check the flag exists to exercise.
     group = None if args.group_blind else deploy.group
-    if group is None:
-        predictions = service.predict(deploy.X)
-        report = evaluate_predictions(deploy.y, predictions, deploy.group)
-    else:
-        report = service.score(deploy.X, deploy.y, group)
+    predictions = service.predict(deploy.X, group)
+    report = evaluate_predictions(deploy.y, predictions, deploy.group)
     emit_json(
         {
             "artifact": args.artifact,

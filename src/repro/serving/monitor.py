@@ -8,9 +8,11 @@ both halves of that framing for a live service:
 
 * **fairness over a sliding window** — DI*, AOD*, and balanced accuracy
   computed incrementally from :class:`~repro.fairness.streaming.StreamCounts`
-  (integer sufficient statistics, so window eviction is subtraction and the
-  windowed report is bit-identical to the offline
-  :func:`~repro.fairness.evaluate_predictions` on the same rows);
+  (integer sufficient statistics, so window eviction is subtraction); the
+  windowed report is :func:`~repro.fairness.report_from_counts` of the
+  window's summed counts, the function
+  :func:`~repro.fairness.evaluate_predictions` applies to one batch, so it
+  equals the offline report on the same rows by construction;
 * **conformance-violation drift** — every observed tuple is scored against
   the training-time conformance constraints (the same
   :class:`~repro.core.partitions.PartitionProfile` DiffFair routes by); a
@@ -68,12 +70,8 @@ import numpy as np
 from repro.core.partitions import PartitionProfile
 from repro.density.kde import KernelDensity
 from repro.exceptions import ValidationError
-from repro.fairness.report import FairnessReport
-from repro.fairness.streaming import (
-    StreamCounts,
-    fold_disparate_impact,
-    report_from_counts,
-)
+from repro.fairness.report import FairnessReport, report_from_counts
+from repro.fairness.streaming import StreamCounts, fold_disparate_impact
 from repro.learners.base import BaseEstimator
 
 LOG_DENSITY_FLOOR = -700.0
@@ -863,7 +861,8 @@ class FairnessMonitor(BaseEstimator):
 
         Unlike the flat-attribute base behaviour, the window state is one
         all-or-nothing snapshot: unknown *and* missing entries are both
-        rejected.
+        rejected, as are chunk arrays of the wrong shapes and window
+        aggregates that are not the sums over the retained chunks.
         """
         unknown = sorted(set(state) - set(self._state_attributes))
         missing = sorted(set(self._state_attributes) - set(state))
@@ -877,32 +876,23 @@ class FairnessMonitor(BaseEstimator):
                 f"({'; '.join(p for p in problems if p)}); accepted state "
                 f"attributes: {self._state_attributes}"
             )
-        chunk_counts = np.asarray(state["chunk_counts_"], dtype=np.int64)
-        chunk_rows = np.asarray(state["chunk_rows_"], dtype=np.int64)
-        chunk_sums = np.asarray(state["chunk_sums_"], dtype=np.float64)
-        chunk_sequences = np.asarray(state["chunk_sequences_"], dtype=np.int64)
+        chunks, chunk_counts, chunk_rows = self._parse_chunks(state)
+        window_counts = np.asarray(state["window_counts_"], dtype=np.int64)
+        window_rows = [
+            int(state[key]) for key in ("window_rows_", "violation_rows_", "log_density_rows_")
+        ]
         if not (
-            len(chunk_counts) == len(chunk_rows) == len(chunk_sums) == len(chunk_sequences)
+            np.array_equal(window_counts, chunk_counts.sum(axis=0))
+            and window_rows == chunk_rows.sum(axis=0).tolist()
         ):
-            raise ValidationError("FairnessMonitor chunk state arrays disagree in length")
-        self._chunks = deque(
-            (
-                StreamCounts(chunk_counts[i].copy()),
-                int(chunk_rows[i, 0]),
-                float(chunk_sums[i, 0]),
-                int(chunk_rows[i, 1]),
-                float(chunk_sums[i, 1]),
-                int(chunk_rows[i, 2]),
-                int(chunk_sequences[i]),
+            raise ValidationError(
+                "FairnessMonitor window aggregates (window_counts_, window_rows_, "
+                "violation_rows_, log_density_rows_) must equal the sums over the "
+                "retained chunks"
             )
-            for i in range(len(chunk_counts))
-        )
-        self._window_counts = StreamCounts(
-            np.asarray(state["window_counts_"], dtype=np.int64).copy()
-        )
-        self._window_rows = int(state["window_rows_"])
-        self._violation_rows = int(state["violation_rows_"])
-        self._log_density_rows = int(state["log_density_rows_"])
+        self._chunks = deque(chunks)
+        self._window_counts = StreamCounts(window_counts.copy())
+        self._window_rows, self._violation_rows, self._log_density_rows = window_rows
         self._next_sequence = int(state["next_sequence_"])
         self._evicted_through = int(state["evicted_through_"])
         self.thresholds = MonitorThresholds.from_dict(dict(state["thresholds_"]))
@@ -915,6 +905,38 @@ class FairnessMonitor(BaseEstimator):
             setattr(self, attribute, None if value is None else float(value))
         self.n_seen = int(state["n_seen_"])
         return self
+
+    @staticmethod
+    def _parse_chunks(state: Dict[str, Any]) -> Tuple[list, np.ndarray, np.ndarray]:
+        """The retained chunks of a packed state, as the window deque holds them.
+
+        Also returns the chunk count and row arrays, whose sums the window
+        aggregates must equal.  Raises
+        :class:`~repro.exceptions.ValidationError` unless the four chunk
+        arrays have the shapes ``(k, 2, 6)``, ``(k, 3)``, ``(k, 2)`` and
+        ``(k,)`` for one ``k``.
+        """
+        chunk_counts = np.asarray(state["chunk_counts_"], dtype=np.int64)
+        chunk_rows = np.asarray(state["chunk_rows_"], dtype=np.int64)
+        chunk_sums = np.asarray(state["chunk_sums_"], dtype=np.float64)
+        chunk_sequences = np.asarray(state["chunk_sequences_"], dtype=np.int64)
+        k = chunk_sequences.shape[0] if chunk_sequences.ndim else -1
+        shapes = (chunk_counts.shape, chunk_rows.shape, chunk_sums.shape, chunk_sequences.shape)
+        if shapes != ((k, 2, 6), (k, 3), (k, 2), (k,)):
+            raise ValidationError(
+                "FairnessMonitor chunk state arrays must have the shapes (k, 2, 6), "
+                f"(k, 3), (k, 2) and (k,) for one k; got {shapes}"
+            )
+        chunks = [
+            (StreamCounts(counts), size, violation_sum, scored, density_sum, density_scored, seq)
+            for counts, (size, scored, density_scored), (violation_sum, density_sum), seq in zip(
+                chunk_counts.copy(),
+                chunk_rows.tolist(),
+                chunk_sums.tolist(),
+                chunk_sequences.tolist(),
+            )
+        ]
+        return chunks, chunk_counts, chunk_rows
 
     # ------------------------------------------------------------- merging
     @classmethod
@@ -980,44 +1002,20 @@ class FairnessMonitor(BaseEstimator):
                         "fixed from the same training split"
                     )
             baselines[key] = first
-        chunks = []
-        for state in states:
-            chunk_counts = np.asarray(state["chunk_counts_"], dtype=np.int64)
-            chunk_rows = np.asarray(state["chunk_rows_"], dtype=np.int64)
-            chunk_sums = np.asarray(state["chunk_sums_"], dtype=np.float64)
-            chunk_sequences = np.asarray(state["chunk_sequences_"], dtype=np.int64)
-            if not (
-                len(chunk_counts) == len(chunk_rows) == len(chunk_sums) == len(chunk_sequences)
-            ):
-                raise ValidationError("FairnessMonitor chunk state arrays disagree in length")
-            for i in range(len(chunk_counts)):
-                chunks.append(
-                    (
-                        int(chunk_sequences[i]),
-                        (
-                            StreamCounts(chunk_counts[i].copy()),
-                            int(chunk_rows[i, 0]),
-                            float(chunk_sums[i, 0]),
-                            int(chunk_rows[i, 1]),
-                            float(chunk_sums[i, 1]),
-                            int(chunk_rows[i, 2]),
-                            int(chunk_sequences[i]),
-                        ),
-                    )
-                )
-        chunks.sort(key=lambda pair: pair[0])
-        for (a, _), (b, _) in zip(chunks, chunks[1:]):
-            if a == b:
+        chunks = [chunk for state in states for chunk in cls._parse_chunks(state)[0]]
+        chunks.sort(key=lambda chunk: chunk[-1])
+        for earlier, later in zip(chunks, chunks[1:]):
+            if earlier[-1] == later[-1]:
                 raise ValidationError(
-                    f"Cannot merge monitor states: sequence {a} is claimed by two "
+                    f"Cannot merge monitor states: sequence {later[-1]} is claimed by two "
                     "chunks (the same stream position served by two shards); "
                     "assign each dispatched batch a unique stream-wide sequence"
                 )
         evicted_through = max(int(state["evicted_through_"]) for state in states)
         merged = cls(window_size=window_size, thresholds=thresholds)
         merged._evicted_through = evicted_through
-        for sequence, chunk in chunks:
-            if sequence <= evicted_through:
+        for chunk in chunks:
+            if chunk[-1] <= evicted_through:
                 # Some input already evicted this stream position or a newer
                 # one, so the union monitor evicted this chunk too (front-
                 # first eviction drops a time-prefix).

@@ -38,8 +38,6 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import ArtifactError, ValidationError
-from repro.fairness.report import FairnessReport
-from repro.fairness.streaming import StreamCounts, report_from_counts
 from repro.interventions.base import DeployedModel
 from repro.interventions.pipeline import PipelineResult
 from repro.serving.artifacts import load_artifact
@@ -255,16 +253,6 @@ class PredictionService:
             if span_handle is not None and served_sequence is not None:
                 span_handle.set(sequence=int(served_sequence))
         return predictions
-
-    def score(self, X, y_true, group) -> FairnessReport:
-        """Serve a labelled batch and return its offline-equivalent report.
-
-        The report is computed from the same streaming counts the monitor
-        accumulates, so ``score`` and the windowed monitor agree exactly.
-        """
-        y_true = np.asarray(y_true).ravel()
-        predictions = self.predict(X, group, y_true=y_true)
-        return report_from_counts(StreamCounts.from_batch(predictions, group, y_true))
 
     def close(self) -> None:
         """Refuse further predictions.

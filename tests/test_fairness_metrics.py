@@ -1,7 +1,12 @@
 """Unit tests for the group-fairness metrics and reports."""
 
+from dataclasses import asdict
+
+import fairness_reference as reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.fairness import (
@@ -16,7 +21,9 @@ from repro.fairness import (
     group_from_threshold,
     group_rates,
 )
+from repro.fairness import metrics as metrics_module
 from repro.fairness.metrics import favors_minority, statistical_parity_difference
+from repro.fairness.streaming import StreamCounts
 
 # Hand-crafted evaluation: majority (group 0) has SR=0.75, minority SR=0.25.
 Y_TRUE = [1, 1, 0, 0, 1, 1, 0, 0]
@@ -92,8 +99,9 @@ class TestEqualizedOdds:
         assert equalized_odds_difference(Y_TRUE, Y_PRED, GROUP, rate="fpr") == pytest.approx(0.5)
 
     def test_invalid_rate(self):
-        with pytest.raises(ValidationError):
-            equalized_odds_difference(Y_TRUE, Y_PRED, GROUP, rate="tnr")
+        for rate in ("tnr", "tpr"):
+            with pytest.raises(ValidationError):
+                equalized_odds_difference(Y_TRUE, Y_PRED, GROUP, rate=rate)
 
 
 class TestFairnessReport:
@@ -113,6 +121,103 @@ class TestFairnessReport:
         as_dict = report.to_dict()
         assert as_dict["di_star"] == report.di_star
         assert "aod_star" in as_dict
+
+
+def _bits(value):
+    """A value's exact identity: the hex of a float, the repr of anything else."""
+    if isinstance(value, float):
+        return ("float", value.hex())
+    return (type(value).__name__, repr(value))
+
+
+def _fields(record):
+    return {name: _bits(value) for name, value in asdict(record).items()}
+
+
+METRICS = (
+    "disparate_impact",
+    "disparate_impact_star",
+    "favors_minority",
+    "average_odds_difference",
+    "average_odds_star",
+    "statistical_parity_difference",
+)
+
+# Rows of (group, y_true, y_pred); both groups are forced in by the test.
+binary_rows = st.lists(
+    st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=0, max_size=80
+)
+
+
+class TestOnePathEqualsMaskOracle:
+    """Every fairness number equals the frozen mask-based computation bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=binary_rows,
+        dtype=st.sampled_from([np.int64, np.int32, np.float64, np.bool_]),
+        single_class=st.sampled_from([None, 0, 1]),
+        one_label_minority=st.sampled_from([None, 0, 1]),
+    )
+    def test_report_rates_and_metrics_equal_oracle(
+        self, rows, dtype, single_class, one_label_minority
+    ):
+        rows = [(False, True, False), (True, False, True)] + rows
+        group = np.array([g for g, _, _ in rows])
+        y_true = np.array([t for _, t, _ in rows])
+        y_pred = np.array([p for _, _, p in rows])
+        if single_class is not None:
+            y_pred[:] = single_class
+        if one_label_minority is not None:
+            y_true[group] = one_label_minority
+        y_true, y_pred, group = (a.astype(dtype) for a in (y_true, y_pred, group))
+
+        assert _fields(evaluate_predictions(y_true, y_pred, group)) == _fields(
+            reference.evaluate_predictions(y_true, y_pred, group)
+        )
+        rates = group_rates(y_true, y_pred, group)
+        expected = reference.group_rates(y_true, y_pred, group)
+        assert rates.keys() == expected.keys()
+        for key in expected:
+            assert _fields(rates[key]) == _fields(expected[key])
+        for name in METRICS:
+            new = getattr(metrics_module, name)(y_true, y_pred, group)
+            old = getattr(reference, name)(y_true, y_pred, group)
+            assert _bits(new) == _bits(old), name
+        for rate in ("fnr", "fpr"):
+            assert _bits(equalized_odds_difference(y_true, y_pred, group, rate=rate)) == _bits(
+                reference.equalized_odds_difference(y_true, y_pred, group, rate=rate)
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=binary_rows, labelled=st.booleans())
+    def test_from_batch_equals_masked_sums(self, rows, labelled):
+        group = np.array([g for g, _, _ in rows], dtype=np.int64)
+        y_true = np.array([t for _, t, _ in rows], dtype=np.int64)
+        y_pred = np.array([p for _, _, p in rows], dtype=np.int64)
+        counts = StreamCounts.from_batch(y_pred, group, y_true if labelled else None)
+        for g in (0, 1):
+            rows_g = group == g
+            true, pred = y_true[rows_g], y_pred[rows_g]
+            confusion = [
+                np.sum((true == 1) & (pred == 1)),
+                np.sum((true == 0) & (pred == 1)),
+                np.sum((true == 1) & (pred == 0)),
+                np.sum((true == 0) & (pred == 0)),
+            ]
+            expected = [rows_g.sum(), np.sum(pred == 1)] + (
+                confusion if labelled else [0, 0, 0, 0]
+            )
+            assert counts.counts[g].tolist() == expected
+        assert counts.counts.dtype == np.int64
+
+    def test_group_outside_zero_one_rejected(self):
+        # The mask path dropped the third row from the group rates but still
+        # counted it in accuracy and balanced accuracy.
+        with pytest.raises(ValidationError, match="group must contain only binary"):
+            evaluate_predictions([0, 1, 1], [0, 1, 0], [0, 1, 2])
+        with pytest.raises(ValidationError, match="group must contain only binary"):
+            group_rates([0, 1, 1], [0, 1, 0], [0, 1, 2])
 
 
 class TestGroupMappings:

@@ -30,6 +30,7 @@ from repro.fleet.cli import main as fleet_main
 from repro.interventions import FairnessPipeline
 from repro.serving import FairnessMonitor, MonitorThresholds, PredictionService, save_artifact
 from repro.simulate.cli import main as simulate_main
+from repro.telemetry import get_event_log
 
 SPLIT = split_dataset(
     make_drifted_groups(
@@ -239,6 +240,28 @@ class TestProcessWorkers:
             assert snapshot.monitor_state is not None
             assert fleet.monitor.n_seen == 160
             assert all(s.cold_start_seconds > 0 for s in fleet.snapshots())
+
+    def test_lifecycle_events_carry_no_timing(self, fitted):
+        # Event records carry no wall-clock values, so two runs of one
+        # command write identical event dumps; the cold start stays in
+        # the snapshots.
+        _, artifact = fitted
+        log = get_event_log().reset().enable()
+        try:
+            workers = [ProcessShardWorker(artifact, shard_id=i) for i in range(2)]
+            with FleetService(workers) as fleet:
+                for X, group, y in requests(5):  # shard 0 serves 0, 2, 4; shard 1 serves 1, 3
+                    fleet.predict(X, group, y_true=y)
+                assert all(s.cold_start_seconds > 0 for s in fleet.snapshots())
+            lifecycle = log.records(kind="worker_lifecycle")
+        finally:
+            log.disable().reset()
+        assert [(r["sequence"], r["attributes"]) for r in lifecycle] == [
+            (-1, {"shard_id": 0, "phase": "start"}),
+            (-1, {"shard_id": 1, "phase": "start"}),
+            (3, {"shard_id": 1, "phase": "close"}),
+            (4, {"shard_id": 0, "phase": "close"}),
+        ]
 
     def test_worker_survives_a_bad_request(self, fitted):
         _, artifact = fitted

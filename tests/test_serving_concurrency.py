@@ -64,19 +64,14 @@ def test_monitor_sees_every_record_under_threaded_load():
     assert monitor.n_seen == N_THREADS * N_REQUESTS_PER_THREAD * ROWS_PER_REQUEST
 
 
-def test_predict_after_close_raises_instead_of_resurrecting():
+@pytest.mark.parametrize("served_before_close", [True, False], ids=["served", "fresh"])
+def test_predict_after_close_raises(served_before_close):
     service = PredictionService(_ThresholdModel(), batch_size=4)
-    service.predict(_request_batch(0))
+    if served_before_close:
+        service.predict(_request_batch(0))
     service.close()
     with pytest.raises(ValidationError, match="closed"):
         service.predict(_request_batch(1))
-
-
-def test_predict_after_close_raises_for_sequential_service_too():
-    service = PredictionService(_ThresholdModel())
-    service.close()
-    with pytest.raises(ValidationError, match="closed"):
-        service.predict(_request_batch(2))
 
 
 def test_close_is_idempotent_and_context_manager_still_works():

@@ -144,6 +144,39 @@ class TestCheckpointResume:
         with pytest.raises(ValidationError, match="chunk"):
             make_monitor().load_state_dict(state)
 
+    @pytest.mark.parametrize(
+        "key, corrupt, entry, match",
+        [
+            ("chunk_counts_", lambda a: np.concatenate([a, a[:, :1]], axis=1), "load", "shapes"),
+            ("chunk_counts_", lambda a: np.concatenate([a, a[:, :1]], axis=1), "merge", "shapes"),
+            ("chunk_rows_", lambda a: a[:, :2], "load", "shapes"),
+            ("chunk_rows_", lambda a: a[:, :2], "merge", "shapes"),
+            ("chunk_sums_", lambda a: a[:, :1], "load", "shapes"),
+            ("chunk_sums_", lambda a: a[:, :1], "merge", "shapes"),
+            # The merge rebuilds its aggregates from the chunks.
+            ("window_counts_", np.zeros_like, "load", "aggregates"),
+        ],
+        ids=[
+            "three-group-counts-load",
+            "three-group-counts-merge",
+            "two-column-rows-load",
+            "two-column-rows-merge",
+            "one-column-sums-load",
+            "one-column-sums-merge",
+            "zero-window-counts-load",
+        ],
+    )
+    def test_corrupt_state_fails_validation(self, key, corrupt, entry, match):
+        monitor = make_monitor()
+        feed(monitor, traffic_batches(2))
+        state = monitor.state_dict()
+        state[key] = corrupt(state[key])
+        with pytest.raises(ValidationError, match=match):
+            if entry == "load":
+                make_monitor().load_state_dict(state)
+            else:
+                FairnessMonitor.merge_state_dicts([state], window_size=monitor.window_size)
+
 
 class TestGroupChannel:
     def test_no_baseline_means_no_alarm(self):
