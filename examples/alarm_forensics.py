@@ -61,7 +61,7 @@ def main() -> None:
 
     # 2. Replay a drifting stream through the fleet.  The harness emits an
     # alarm_edge + channel_snapshot pair into the frontend log the moment
-    # the merged monitor's alarmed-channel set changes.
+    # the fleet monitor's alarmed-channel set changes.
     fleet = runner.make_service(shards=N_SHARDS)
     assert isinstance(fleet, FleetService)
     with fleet:

@@ -1,4 +1,4 @@
-"""Sharded fleet replay: 8 shards, one merged fairness view, zero divergence.
+"""Sharded fleet replay: 8 shards, one fleet-wide fairness view, zero divergence.
 
 The script walks the scale-out path the ``repro.fleet`` subsystem adds:
 
@@ -6,12 +6,12 @@ The script walks the scale-out path the ``repro.fleet`` subsystem adds:
 2. replay the same seed-deterministic ``group_shift`` stream twice — once
    through a single monitored ``PredictionService`` and once through an
    8-shard ``FleetService`` (round-robin dispatch, sequence-stamped batches,
-   per-shard monitors merged after every step);
+   each shard's scored chunk committed in order to the front-end's window);
 3. assert the two scored verdicts are **bit-identical** — same alarms at the
    same steps, same detection latency, same windowed DI* trajectory.  The
-   merge is exact because ``FairnessMonitor`` state is additive sufficient
-   statistics over sequence-stamped chunks, not an approximation;
-4. print the fleet-level report: per-shard throughput plus the merged
+   fleet window is exact because ``FairnessMonitor`` state is additive
+   sufficient statistics over sequence-stamped chunks, not an approximation;
+4. print the fleet-level report: per-shard throughput plus the fleet-wide
    windowed fairness summary no single shard could compute alone.
 
 Run with:  python examples/fleet_replay.py
@@ -87,7 +87,7 @@ def main() -> None:
             print(f"  shard {shard['shard_id']}: {shard['n_requests']} requests, "
                   f"{shard['n_records']} records")
         windowed = report["windowed"]
-        print(f"  merged window: n={windowed['n_window']} of "
+        print(f"  fleet window: n={windowed['n_window']} of "
               f"{windowed['n_seen']} seen  DI*={windowed['di_star']:.4f}")
     finally:
         fleet.close()

@@ -111,17 +111,19 @@ Fleet quickstart::
     with FleetService(workers) as fleet:
         fleet.predict(rows, groups)
         print(fleet.fleet_report()["records_per_second"])
-        print(fleet.monitor.windowed_summary()["di_star"])  # merged across shards
+        print(fleet.monitor.windowed_summary()["di_star"])  # the fleet's one window
 
 :mod:`repro.fleet` scales one monitored service out to N shards: worker
 processes memory-map the same artifact (cold start is O(manifest), not
 O(weights)), a front-end sends each request whole to the next shard
-round-robin, and the per-shard ``FairnessMonitor`` states are
-**merged** — :meth:`FairnessMonitor.merge` is bit-identical to one monitor
-having observed the union stream, so the fleet-level DI*/AOD*/drift view is
-exact, not approximate.  ``repro-fleet replay --shards N`` proves it by
-asserting a sharded drift replay matches the single-service replay
-bit-for-bit.
+round-robin, and each shard returns the request's scored monitor chunk
+with its predictions.  The front-end commits the chunks in sequence order
+into the fleet's one ``FairnessMonitor``, so the fleet-level DI*/AOD*/drift
+view is exactly the view of one monitor that observed the whole stream.
+``repro-fleet replay --shards N`` proves it by asserting a sharded drift
+replay matches the single-service replay bit-for-bit, and
+:meth:`FairnessMonitor.merge` reduces saved per-shard windows the same
+exact way.
 
 Observability::
 
@@ -216,7 +218,7 @@ from repro.telemetry import MetricsRegistry
 # Observability quickstart's `from repro import telemetry`.
 from repro import telemetry
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 # The serving subsystem consumes everything above (interventions, learners,
 # datasets), the simulation subsystem consumes serving, and the fleet

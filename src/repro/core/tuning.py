@@ -17,9 +17,8 @@ import numpy as np
 
 from repro.datasets.table import Dataset
 from repro.exceptions import ValidationError
-from repro.fairness.metrics import disparate_impact_star, equalized_odds_difference
+from repro.fairness.report import FairnessReport, evaluate_predictions
 from repro.learners.base import BaseClassifier, clone
-from repro.learners.metrics import balanced_accuracy_score
 from repro.utils.parallel import thread_map
 
 
@@ -42,12 +41,14 @@ class InterventionTuningResult:
     trials: Tuple[TuningTrial, ...] = field(default_factory=tuple)
 
 
-def _fairness_score(y_true, y_pred, group, fairness_target: str) -> float:
+def _fairness_score(report: FairnessReport, fairness_target: str) -> float:
     """Higher-is-better fairness score for the requested target metric."""
     if fairness_target == "di":
-        return disparate_impact_star(y_true, y_pred, group)
-    if fairness_target in ("fnr", "fpr"):
-        return 1.0 - equalized_odds_difference(y_true, y_pred, group, rate=fairness_target)
+        return report.di_star
+    if fairness_target == "fnr":
+        return 1.0 - report.eq_odds_fnr
+    if fairness_target == "fpr":
+        return 1.0 - report.eq_odds_fpr
     raise ValidationError("fairness_target must be 'di', 'fnr', or 'fpr'")
 
 
@@ -106,10 +107,13 @@ def tune_intervention_degree(
             )
         model = clone(learner)
         model.fit(train.X, train.y, sample_weight=weights)
-        predictions = model.predict(validation.X)
-        fairness = _fairness_score(validation.y, predictions, validation.group, fairness_target)
-        utility = balanced_accuracy_score(validation.y, predictions)
-        return TuningTrial(degree=degree, fairness=fairness, balanced_accuracy=utility)
+        # One report carries both the fairness score and the utility.
+        report = evaluate_predictions(validation.y, model.predict(validation.X), validation.group)
+        return TuningTrial(
+            degree=degree,
+            fairness=_fairness_score(report, fairness_target),
+            balanced_accuracy=report.balanced_accuracy,
+        )
 
     trials: List[TuningTrial] = thread_map(evaluate, degrees, n_jobs=n_jobs)
 

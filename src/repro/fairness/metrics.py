@@ -53,15 +53,15 @@ def group_rates(y_true, y_pred, group) -> Dict[str, GroupRates]:
     require_both_groups(counts)
     return {
         key: GroupRates(
-            selection_rate=counts.selection_rate(g),
-            tpr=counts.tpr(g),
-            fpr=counts.fpr(g),
-            fnr=counts.fnr(g),
-            n_samples=counts.group_n(g),
-            has_positives=counts.has_positives(g),
-            has_negatives=counts.has_negatives(g),
+            selection_rate=cells.selection_rate,
+            tpr=cells.tpr,
+            fpr=cells.fpr,
+            fnr=cells.fnr,
+            n_samples=cells.n,
+            has_positives=cells.has_positives,
+            has_negatives=cells.has_negatives,
         )
-        for key, g in (("majority", 0), ("minority", 1))
+        for key, cells in zip(("majority", "minority"), counts.groups())
     }
 
 

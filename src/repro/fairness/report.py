@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict
 
 from repro.exceptions import ValidationError
-from repro.fairness.streaming import StreamCounts, fold_disparate_impact
+from repro.fairness.streaming import GroupCounts, StreamCounts, fold_disparate_impact
 
 
 @dataclass(frozen=True)
@@ -62,48 +62,46 @@ def report_from_counts(counts: StreamCounts) -> FairnessReport:
 
     A rate whose base is empty is 0.0, and a between-group gap whose rate is
     undefined for either group (no positives for TPR/FNR, no negatives for
-    FPR) contributes no gap rather than a spurious maximal one.
+    FPR) contributes no gap rather than a spurious maximal one.  The counts
+    are read once, as Python ints (:meth:`StreamCounts.groups`).
     """
     require_both_groups(counts)
-    labelled = counts.n_labelled
-    if labelled != counts.n_samples:
+    majority, minority = counts.groups()
+    n_samples = majority.n + minority.n
+    pooled = GroupCounts(*(w + u for w, u in zip(majority, minority)))
+    labelled = pooled.tp + pooled.fp + pooled.fn + pooled.tn
+    if labelled != n_samples:
         raise ValidationError(
             "A full FairnessReport needs ground-truth labels for every row in the "
-            f"window ({labelled} labelled of {counts.n_samples}); "
+            f"window ({labelled} labelled of {n_samples}); "
             "use FairnessMonitor.windowed_summary() for unlabelled traffic"
         )
 
-    sr_minority = counts.selection_rate(1)
-    sr_majority = counts.selection_rate(0)
+    sr_minority = minority.selection_rate
+    sr_majority = majority.selection_rate
     di, di_star = fold_disparate_impact(sr_minority, sr_majority)
 
-    both_negatives = counts.has_negatives(0) and counts.has_negatives(1)
-    both_positives = counts.has_positives(0) and counts.has_positives(1)
-    fpr_gap = (counts.fpr(1) - counts.fpr(0)) if both_negatives else 0.0
-    tpr_gap = (counts.tpr(1) - counts.tpr(0)) if both_positives else 0.0
-    aod = float((fpr_gap + tpr_gap) / 2.0)
+    both_negatives = majority.has_negatives and minority.has_negatives
+    both_positives = majority.has_positives and minority.has_positives
+    fpr_gap = (minority.fpr - majority.fpr) if both_negatives else 0.0
+    tpr_gap = (minority.tpr - majority.tpr) if both_positives else 0.0
+    aod = (fpr_gap + tpr_gap) / 2.0
 
     # Balanced accuracy and accuracy pool both groups.
-    tp, fp, fn, tn = counts.confusion()
-    positives = tp + fn
-    negatives = fp + tn
-    tpr_all = float(tp / positives) if positives else 0.0
-    tnr_all = float(tn / negatives) if negatives else 0.0
-
-    n_selected = counts.n_selected
+    tnr_all = pooled.tn / (pooled.fp + pooled.tn) if pooled.has_negatives else 0.0
     return FairnessReport(
         di=di,
         di_star=di_star,
         aod=aod,
-        aod_star=float(1.0 - abs(aod)),
-        balanced_accuracy=(tpr_all + tnr_all) / 2.0,
-        accuracy=float((tp + tn) / counts.n_samples),
-        eq_odds_fnr=float(abs(counts.fnr(1) - counts.fnr(0))) if both_positives else 0.0,
-        eq_odds_fpr=float(abs(counts.fpr(1) - counts.fpr(0))) if both_negatives else 0.0,
+        aod_star=1.0 - abs(aod),
+        balanced_accuracy=(pooled.tpr + tnr_all) / 2.0,
+        accuracy=(pooled.tp + pooled.tn) / n_samples,
+        eq_odds_fnr=abs(minority.fnr - majority.fnr) if both_positives else 0.0,
+        eq_odds_fpr=abs(minority.fpr - majority.fpr) if both_negatives else 0.0,
         selection_rate_minority=sr_minority,
         selection_rate_majority=sr_majority,
-        favors_minority=bool(di > 1.0),
-        degenerate=bool(n_selected == 0 or n_selected == counts.n_samples),
+        favors_minority=di > 1.0,
+        degenerate=pooled.selected == 0 or pooled.selected == n_samples,
     )
 
 

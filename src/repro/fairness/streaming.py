@@ -15,7 +15,7 @@ on top of these counts.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -45,6 +45,45 @@ def _check_binary(name: str, values) -> np.ndarray:
     if arr.size and np.any((arr != 0) & (arr != 1)):
         raise ValidationError(f"{name} must contain only binary 0/1 values")
     return arr
+
+
+class GroupCounts(NamedTuple):
+    """One group's counts as Python ints, and the rates over them.
+
+    A rate whose base is empty is 0.0.  Every rate is a true division of two
+    Python ints, correctly rounded.
+    """
+
+    n: int
+    selected: int
+    tp: int
+    fp: int
+    fn: int
+    tn: int
+
+    @property
+    def selection_rate(self) -> float:
+        return self.selected / self.n if self.n else 0.0
+
+    @property
+    def tpr(self) -> float:
+        return self.tp / (self.tp + self.fn) if self.has_positives else 0.0
+
+    @property
+    def fpr(self) -> float:
+        return self.fp / (self.fp + self.tn) if self.has_negatives else 0.0
+
+    @property
+    def fnr(self) -> float:
+        return self.fn / (self.tp + self.fn) if self.has_positives else 0.0
+
+    @property
+    def has_positives(self) -> bool:
+        return self.tp + self.fn > 0
+
+    @property
+    def has_negatives(self) -> bool:
+        return self.fp + self.tn > 0
 
 
 class StreamCounts:
@@ -115,42 +154,20 @@ class StreamCounts:
         return int(self.counts[:, _N].sum())
 
     @property
-    def n_selected(self) -> int:
-        return int(self.counts[:, _SELECTED].sum())
-
-    @property
     def n_labelled(self) -> int:
         return int(self.counts[:, _TP:].sum())
 
     def group_n(self, g: int) -> int:
         return int(self.counts[g, _N])
 
-    def confusion(self) -> tuple:
-        """``(tp, fp, fn, tn)`` over both groups."""
-        return tuple(int(cell) for cell in self.counts[:, _TP:].sum(axis=0))
+    def groups(self) -> Tuple[GroupCounts, GroupCounts]:
+        """``(majority, minority)``, read from the count matrix in one pass."""
+        majority, minority = self.counts.tolist()
+        return GroupCounts(*majority), GroupCounts(*minority)
 
     def selection_rate(self, g: int) -> float:
         """Per-group selection rate, as ``selected / n`` (exact count ratio)."""
-        n = self.counts[g, _N]
-        if n == 0:
+        cells = self.groups()[g]
+        if cells.n == 0:
             raise ValidationError(f"No samples for group {g} in the current window")
-        return float(self.counts[g, _SELECTED] / n)
-
-    def _rate(self, g: int, numerator: int, base_columns) -> float:
-        base = int(self.counts[g, list(base_columns)].sum())
-        return float(self.counts[g, numerator] / base) if base else 0.0
-
-    def tpr(self, g: int) -> float:
-        return self._rate(g, _TP, (_TP, _FN))
-
-    def fpr(self, g: int) -> float:
-        return self._rate(g, _FP, (_FP, _TN))
-
-    def fnr(self, g: int) -> float:
-        return self._rate(g, _FN, (_TP, _FN))
-
-    def has_positives(self, g: int) -> bool:
-        return int(self.counts[g, _TP] + self.counts[g, _FN]) > 0
-
-    def has_negatives(self, g: int) -> bool:
-        return int(self.counts[g, _FP] + self.counts[g, _TN]) > 0
+        return cells.selection_rate

@@ -1,20 +1,24 @@
-"""``repro.fleet``: a sharded serving fleet with mergeable fairness monitors.
+"""``repro.fleet``: a sharded serving fleet with one exact fairness monitor.
 
 One :class:`~repro.serving.PredictionService` scales to one process.  The
 fleet scales the same artifact to N shards without giving up the monitoring
 guarantees the serving layer was built around:
 
 * **Shard workers** (:class:`InlineShardWorker`, :class:`ProcessShardWorker`)
-  each serve the artifact with their own
-  :class:`~repro.serving.FairnessMonitor`.  Process workers load with
-  ``load_artifact(..., mmap_mode="r")``, so the payload arrays are
-  memory-mapped from a shared extraction cache: per-worker cold start is
-  O(manifest), and the weights occupy one physical copy machine-wide.
+  each serve the artifact and score every request they serve with their
+  :class:`~repro.serving.FairnessMonitor`'s configuration, returning the
+  scored chunk with the predictions; no shard keeps a window.  Process
+  workers load with ``load_artifact(..., mmap_mode="r")``, so the payload
+  arrays are memory-mapped from a shared extraction cache: per-worker cold
+  start is O(manifest), and the weights occupy one physical copy
+  machine-wide.
 * **The front-end** (:class:`FleetService`) sends each request whole to
   the next shard round-robin, on the caller's thread, stamps it with a
-  stream-wide sequence number, and merges the shard monitors through
-  :meth:`~repro.serving.FairnessMonitor.merge_state_dicts` into the
-  union-stream monitor.
+  stream-wide sequence number, and commits the returned chunks in sequence
+  order into the fleet's one monitor — the union-stream monitor, kept
+  current as requests finish, so reading it is a status read.  This is
+  delta-state shipping of an already mergeable summary: a chunk is the
+  window's delta for one request.
 * **The proof** (:func:`compare_sharded_replay`) replays a drift scenario
   through the fleet and through a single service and asserts the scored
   verdicts are bit-identical — alarms, detection latency, windowed DI*
@@ -33,15 +37,15 @@ Start from a saved artifact and a saved baseline-installed monitor::
     ]
     with FleetService(workers) as fleet:
         predictions = fleet.predict(X, group)      # sync facade
-        report = fleet.fleet_report()              # merged window + per-shard stats
+        report = fleet.fleet_report()              # fleet window + per-shard stats
 
 Observability
 -------------
 Shard workers carry **private** telemetry registries (inline shards are
 handed one; process workers record into their own process's default
 registry), so per-shard ``serving.*`` histograms merge into one fleet view
-without double counting — exactly, via integer sufficient statistics, the
-same way the monitors merge.  :meth:`FleetService.fleet_report` surfaces
+without double counting — exactly, via integer sufficient statistics.
+:meth:`FleetService.fleet_report` surfaces
 per-shard ``cold_start_seconds``, the ``mmap_cache`` hit/miss outcome of
 each artifact load, per-shard latency quantiles, and a ``telemetry``
 section with the merged view; :meth:`FleetService.telemetry_report` is the

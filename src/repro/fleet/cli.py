@@ -9,7 +9,7 @@ Three subcommands::
 ``serve`` stands a fleet up from a saved artifact (fitting one first when
 ``--artifact`` is omitted, exactly like ``repro-simulate``), drives deploy
 traffic through it, and emits the fleet report — per-shard throughput and
-cold starts plus the merged monitor's windowed summary.  ``replay`` is the
+cold starts plus the fleet window's windowed summary.  ``replay`` is the
 equivalence check: it replays one scenario through an N-shard fleet *and*
 through a single service and exits non-zero unless the scored verdicts are
 bit-identical (everything except wall-clock throughput).  ``report``

@@ -2,7 +2,8 @@
 
 The fleet's whole claim is that sharding is *invisible* to the monitoring
 verdict: a drift scenario replayed through N shard workers (round-robin,
-sequence-stamped, monitors merged) must produce the same alarms at the same
+sequence-stamped, chunks committed in order to the front-end's window)
+must produce the same alarms at the same
 steps, the same detection latency, and the same windowed fairness trace as
 one :class:`~repro.serving.PredictionService` observing the union stream.
 :func:`compare_sharded_replay` runs both replays and diffs the full scored

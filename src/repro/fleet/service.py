@@ -2,22 +2,28 @@
 
 The front-end accepts requests (sync ``predict``, or ``predict_async`` for
 asyncio callers), sends each request whole to the next shard worker
-round-robin, stamps it with a stream-wide **sequence number**, and
-aggregates the per-shard :class:`~repro.serving.ServiceStats` and monitor
-states into one fleet-level view: :attr:`FleetService.monitor` is the
-shards' windows merged through
-:meth:`~repro.serving.FairnessMonitor.merge_state_dicts` — the union-stream
-monitor, bit for bit.
+round-robin and stamps it with a stream-wide **sequence number**.  The
+shard predicts and scores the request into a
+:class:`~repro.serving.monitor.MonitorChunk` and returns it with the
+predictions; the front-end commits every chunk, in sequence order, into
+the fleet's one :class:`~repro.serving.FairnessMonitor`.  So
+:attr:`FleetService.monitor` is a window the front-end keeps current, not
+a snapshot-and-merge of the shards: reading it costs a status read.
+Per-shard :class:`~repro.serving.ServiceStats` are summed from snapshots.
 
 The shard call runs on the caller's thread.  Picking the shard and the
-sequence stamp is the only step taken under the fleet's lock, so concurrent
-callers are served concurrently (both worker types are safe for concurrent
-``predict``).
+sequence stamp, and committing the finished chunks, are the only steps
+taken under the fleet's lock, so concurrent callers are served
+concurrently (both worker types are safe for concurrent ``predict``).
+Requests that finish out of order wait in a small reorder buffer until
+every earlier request has finished; a request that raises counts as
+finished with nothing to commit.
 
-Determinism contract: because each request goes whole to one shard in
-round-robin order, the sequence-stamped shard windows merge to a monitor
-*bit-identical* to a single :class:`~repro.serving.PredictionService` that
-served the same request stream.
+Determinism contract: the front-end window holds the chunks of the
+completed prefix of the request stream, committed in sequence order, so it
+is *bit-identical* to the monitor of a single
+:class:`~repro.serving.PredictionService` that served the same request
+stream.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import Any, Dict, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import FleetError, ValidationError
-from repro.serving.monitor import FairnessMonitor
+from repro.serving.monitor import FairnessMonitor, MonitorChunk
 from repro.serving.service import ServiceStats
 from repro.telemetry import (
     DEFAULT_SIZE_BUCKETS,
@@ -42,25 +48,28 @@ from repro.telemetry import (
 
 
 class FleetService:
-    """Send requests round-robin to shard workers; aggregate their monitors and stats.
+    """Send requests round-robin to shard workers; keep the fleet's one window.
 
     Parameters
     ----------
     workers:
         The shard workers (:class:`~repro.fleet.InlineShardWorker` /
         :class:`~repro.fleet.ProcessShardWorker`, or anything speaking their
-        protocol).  The fleet owns them: ``close`` closes every worker.
+        protocol).  The fleet owns them: ``close`` closes every worker.  The
+        front-end window is built from the first worker's
+        ``monitor_template()``; a fleet whose workers carry no monitor has
+        none.
     telemetry:
         Optional :class:`~repro.telemetry.MetricsRegistry` for the
         *front-end's* own metrics (``fleet.requests_total``,
         ``fleet.request_rows``); defaults to the process-wide registry.
         Shard-side serving metrics live in the workers' private registries
-        and are merged — exactly, like the monitors — into
-        :meth:`fleet_report` / :meth:`telemetry_report`.
+        and are merged exactly into :meth:`fleet_report` /
+        :meth:`telemetry_report`.
     events:
         Optional :class:`~repro.telemetry.EventLog` for the *front-end's*
         flight recorder (alarm edges and mitigation transitions are emitted
-        where the merged monitor is observed); defaults to the process-wide
+        where the fleet's monitor is observed); defaults to the process-wide
         log.  Shard-side request events live in the workers' private logs
         and fold into the union-stream log in :meth:`events_report`.
     """
@@ -84,15 +93,22 @@ class FleetService:
         )
         self.n_requests = 0
         self._sequence = 0
-        # Requests that returned or raised.  The merged-monitor cache is
-        # keyed on it, not on `_sequence`: a request is dispatched before its
-        # shard adds the batch to its window, so a read overlapping it must
-        # not be reused once it completes.
-        self._completed = 0
         self._next_worker = 0
         self._lock = threading.Lock()
-        self._monitor_cache: Optional[tuple] = None
         self._closed = False
+        self._monitor: Optional[FairnessMonitor] = next(
+            (
+                template
+                for template in (worker.monitor_template() for worker in workers)
+                if template is not None
+            ),
+            None,
+        )
+        # The reorder buffer, guarded by `_lock`: the next sequence to
+        # commit, and the finished requests after it by sequence (their
+        # chunk, or None for a request that raised or carried no chunk).
+        self._next_commit = 0
+        self._finished: Dict[int, Optional[MonitorChunk]] = {}
 
     # ---------------------------------------------------------- dispatching
     @staticmethod
@@ -106,7 +122,12 @@ class FleetService:
         return f"fleet-{int(sequence):06d}"
 
     def predict(self, X, group=None, *, y_true=None) -> np.ndarray:
-        """Serve one request on the next shard, on the caller's thread."""
+        """Serve one request on the next shard, on the caller's thread.
+
+        The shard's chunk enters the fleet window once every earlier
+        request has finished; when this request is the oldest in flight,
+        that is before ``predict`` returns.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X.reshape(1, -1)
@@ -131,13 +152,25 @@ class FleetService:
         if self.telemetry.enabled:
             self._m_requests.inc()
             self._m_rows.observe(X.shape[0])
+        chunk = None
         try:
-            return worker.predict(
+            predictions, chunk = worker.predict(
                 X, group, y_true=y_true, sequence=sequence, trace_id=self.trace_id_for(sequence)
             )
         finally:
-            with self._lock:
-                self._completed += 1
+            if self._monitor is not None:
+                self._finish(sequence, chunk)
+        return predictions
+
+    def _finish(self, sequence: int, chunk: Optional[MonitorChunk]) -> None:
+        """Mark ``sequence`` finished and commit every chunk now in order."""
+        with self._lock:
+            self._finished[sequence] = chunk
+            while self._next_commit in self._finished:
+                ready = self._finished.pop(self._next_commit)
+                self._next_commit += 1
+                if ready is not None:
+                    self._monitor.commit(ready, sequence=self._next_commit - 1)
 
     async def predict_async(self, X, group=None, *, y_true=None) -> np.ndarray:
         """:meth:`predict` for asyncio callers, run on the default executor."""
@@ -148,57 +181,18 @@ class FleetService:
         """One :class:`~repro.fleet.ShardSnapshot` per shard, in shard order."""
         return [worker.snapshot() for worker in self.workers]
 
-    def _cached_monitor(self):
-        """``(completed, cached merged monitor or None)``, read under the lock.
-
-        Take the snapshots to merge only after this read: a monitor cached
-        under ``completed`` then holds every request completed by then.
-        """
-        with self._lock:
-            completed, cached = self._completed, self._monitor_cache
-        if cached is not None and cached[0] == completed:
-            return completed, cached[1]
-        return completed, None
-
-    def _merge(self, completed: int, snapshots=None) -> Optional[FairnessMonitor]:
-        """Merge the shard windows of ``snapshots`` (taken now when ``None``)
-        and cache the result under ``completed``."""
-        template = None
-        for worker in self.workers:
-            template = worker.monitor_template()
-            if template is not None:
-                break
-        if template is None:
-            return None
-        if snapshots is None:
-            snapshots = self.snapshots()
-        states = [
-            snapshot.monitor_state
-            for snapshot in snapshots
-            if snapshot.monitor_state is not None
-        ]
-        if not states:
-            return None
-        merged_state = FairnessMonitor.merge_state_dicts(
-            states, window_size=template.window_size
-        )
-        merged = template.load_state_dict(merged_state)
-        with self._lock:
-            self._monitor_cache = (completed, merged)
-        return merged
-
     @property
     def monitor(self) -> Optional[FairnessMonitor]:
-        """The shards' monitor windows merged into the union-stream monitor.
+        """The fleet's window: every finished request's chunk, in sequence order.
 
-        Merged lazily and cached until the next request completes: repeated
-        reads between requests (a replay step reads statuses then the
-        summary) reuse one merge.  ``None`` when no shard carries a monitor.
+        The front-end commits each chunk as soon as every earlier request
+        has finished, so a read costs a status read.  While a request is in
+        flight the window holds the contiguous prefix of finished requests
+        before it.  As with a :class:`~repro.serving.PredictionService`'s
+        ``monitor``, reads are not synchronized with concurrent commits.
+        ``None`` when no shard carries a monitor.
         """
-        completed, merged = self._cached_monitor()
-        if merged is not None:
-            return merged
-        return self._merge(completed)
+        return self._monitor
 
     @staticmethod
     def _total_stats(snapshots) -> ServiceStats:
@@ -214,11 +208,11 @@ class FleetService:
         return self._total_stats(self.snapshots())
 
     def fleet_report(self) -> Dict[str, Any]:
-        """One fleet-level report: merged window view plus per-shard stats.
+        """One fleet-level report: the fleet window's view plus per-shard stats.
 
-        Every shard is snapshotted once; the merged window comes from the
-        same snapshots (or from the cache, when no request has completed
-        since the last merge).  Every shard entry carries its
+        Every shard is snapshotted once, and the ``windowed`` section is the
+        front-end window's summary, read under the fleet's lock.  Every
+        shard entry carries its
         ``cold_start_seconds`` and the ``mmap_cache`` hit/miss outcome of its
         artifact load; an inline shard loads nothing, so it reports a cold
         start of 0 and ``mmap_cache`` ``None``.  When the shards record
@@ -228,10 +222,7 @@ class FleetService:
         (integer sufficient statistics — bit-identical to one service
         observing the union stream).
         """
-        completed, merged = self._cached_monitor()
         snapshots = self.snapshots()
-        if merged is None:
-            merged = self._merge(completed, snapshots)
         shard_exports: Dict[int, Dict[str, Any]] = {
             snapshot.shard_id: MetricsRegistry.export_state(snapshot.telemetry_state)
             for snapshot in snapshots
@@ -272,8 +263,9 @@ class FleetService:
                 "n_reporting_shards": len(states),
                 "merged": MetricsRegistry.export_state(merged_state),
             }
-        if merged is not None:
-            report["windowed"] = merged.windowed_summary()
+        if self._monitor is not None:
+            with self._lock:
+                report["windowed"] = self._monitor.windowed_summary()
         return report
 
     def telemetry_report(self) -> Dict[str, Any]:
@@ -324,7 +316,7 @@ class FleetService:
         """The fleet's ``--events-out`` payload: front-end + shards + merge.
 
         ``frontend`` is the front-end log (alarm edges, channel snapshots,
-        mitigation transitions — emitted where the merged monitor is
+        mitigation transitions — emitted where the fleet's monitor is
         observed), each ``shards`` entry is that shard's private log
         (``request`` events, worker lifecycle), and ``merged`` folds them
         all by sequence stamp into the union-stream log — bit-identical to

@@ -1,8 +1,9 @@
 """Shard workers: the per-node half of the sharded serving fleet.
 
-A *shard worker* owns one :class:`~repro.serving.PredictionService` (and its
-per-shard :class:`~repro.serving.FairnessMonitor`) and exposes the narrow
-surface the :class:`~repro.fleet.FleetService` front-end dispatches through:
+A *shard worker* owns one :class:`~repro.serving.PredictionService` (whose
+:class:`~repro.serving.FairnessMonitor` scores its requests) and exposes the
+narrow surface the :class:`~repro.fleet.FleetService` front-end dispatches
+through:
 
 * :class:`InlineShardWorker` — the service lives in this process.  Zero
   serialization overhead, deterministic, and what the sharded-replay
@@ -14,9 +15,12 @@ surface the :class:`~repro.fleet.FleetService` front-end dispatches through:
   worker's cold start is O(manifest), not O(weights).
 
 Both speak the same protocol: ``predict`` (with the fleet's stream-wide
-sequence stamp), ``snapshot`` (shard stats + the monitor's ``state_dict``
-for fleet-level merging), ``monitor_template`` (an empty monitor carrying
-the shard's configuration, the merge target), and ``close``.
+sequence stamp) returns ``(predictions, chunk)`` — the request's
+:class:`~repro.serving.monitor.MonitorChunk`, scored by the shard and left
+for the front-end to commit, so no shard keeps a window of its own;
+``snapshot`` (shard stats, telemetry and events); ``monitor_template`` (an
+empty monitor carrying the shard's configuration and baselines, from which
+the front-end builds the fleet window); and ``close``.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from repro.telemetry import (
 
 @dataclass(frozen=True)
 class ShardSnapshot:
-    """One shard's aggregation payload: stats plus mergeable monitor state.
+    """One shard's aggregation payload: stats, telemetry and events.
 
     ``mmap_cache`` is the outcome of the shard's ``load_artifact``
     (``"hit"`` — a fresh extraction cache was memory-mapped directly,
@@ -58,7 +62,6 @@ class ShardSnapshot:
 
     shard_id: int
     stats: ServiceStats
-    monitor_state: Optional[Dict[str, Any]]
     cold_start_seconds: float
     mmap_cache: Optional[str] = None
     telemetry_state: Optional[Dict[str, Any]] = None
@@ -71,9 +74,9 @@ class InlineShardWorker:
     Parameters
     ----------
     service:
-        The service this shard serves (typically with a fresh baseline-
-        installed monitor attached).  The worker owns it: ``close`` closes
-        it.
+        The service this shard serves (typically with a baseline-installed
+        monitor attached, which scores the shard's requests).  The worker
+        owns it: ``close`` closes it.
     shard_id:
         Position of this shard in the fleet (used in reports).
     """
@@ -86,8 +89,10 @@ class InlineShardWorker:
     def requires_group(self) -> bool:
         return self.service.requires_group
 
-    def predict(self, X, group=None, *, y_true=None, sequence=None, trace_id=None) -> np.ndarray:
-        return self.service.predict(
+    def predict(self, X, group=None, *, y_true=None, sequence=None, trace_id=None):
+        """``(predictions, chunk)``; see
+        :meth:`~repro.serving.PredictionService.predict_and_score`."""
+        return self.service.predict_and_score(
             X, group, y_true=y_true, sequence=sequence, trace_id=trace_id
         )
 
@@ -101,7 +106,6 @@ class InlineShardWorker:
 
     def snapshot(self) -> ShardSnapshot:
         stats = self.service.stats
-        monitor = self.service.monitor
         registry = self.service.telemetry
         events = self.service.events
         # Only a private registry is exported per shard: N inline shards
@@ -119,7 +123,6 @@ class InlineShardWorker:
         return ShardSnapshot(
             shard_id=self.shard_id,
             stats=ServiceStats(stats.n_requests, stats.n_records, stats.total_seconds),
-            monitor_state=monitor.state_dict() if monitor is not None else None,
             # The service was handed in, not loaded: no cold start, no mmap.
             cold_start_seconds=0.0,
             telemetry_state=telemetry_state,
@@ -187,19 +190,21 @@ def _shard_worker_main(
         try:
             if kind == "predict":
                 _, X, group, y_true, sequence, trace_id = message
-                predictions = service.predict(
-                    X, group, y_true=y_true, sequence=sequence, trace_id=trace_id
+                conn.send(
+                    (
+                        "ok",
+                        service.predict_and_score(
+                            X, group, y_true=y_true, sequence=sequence, trace_id=trace_id
+                        ),
+                    )
                 )
-                conn.send(("ok", predictions))
             elif kind == "snapshot":
                 stats = service.stats
-                state = service.monitor.state_dict() if service.monitor is not None else None
                 conn.send(
                     (
                         "ok",
                         {
                             "stats": (stats.n_requests, stats.n_records, stats.total_seconds),
-                            "monitor_state": state,
                             "cold_start_seconds": cold_start,
                             "mmap_cache": mmap_cache,
                             "telemetry_state": (
@@ -237,8 +242,9 @@ class ProcessShardWorker:
         Artifact directory (saved by ``save_artifact``) every worker serves.
     monitor_path:
         Optional artifact directory holding a baseline-installed
-        :class:`FairnessMonitor`; each worker loads its own copy, and the
-        parent loads one more as the merge template.
+        :class:`FairnessMonitor`; each worker loads its own copy to score
+        with, and the parent loads one more as the template of the fleet
+        window.
     batch_size:
         Micro-batch size of the in-worker service.
     mmap_mode:
@@ -400,7 +406,8 @@ class ProcessShardWorker:
             self._process.terminate()
 
     # ------------------------------------------------------------- protocol
-    def predict(self, X, group=None, *, y_true=None, sequence=None, trace_id=None) -> np.ndarray:
+    def predict(self, X, group=None, *, y_true=None, sequence=None, trace_id=None):
+        """``(predictions, chunk)``, served and scored in the worker process."""
         return self._request(
             ("predict", np.asarray(X), group, y_true, sequence, trace_id),
             sequence=sequence,
@@ -429,7 +436,6 @@ class ProcessShardWorker:
         return ShardSnapshot(
             shard_id=self.shard_id,
             stats=ServiceStats(int(n_requests), int(n_records), float(total_seconds)),
-            monitor_state=payload["monitor_state"],
             cold_start_seconds=float(payload["cold_start_seconds"]),
             mmap_cache=payload.get("mmap_cache"),
             telemetry_state=payload.get("telemetry_state"),

@@ -39,7 +39,10 @@ class GradientBoostingClassifier(BaseClassifier):
         Minimum samples per leaf in the individual trees.
     subsample:
         Fraction of rows sampled (without replacement) per boosting round;
-        1.0 disables row subsampling.
+        1.0 disables row subsampling.  A round whose sample holds only
+        zero-weight rows adds a tree that predicts 0, so the scores and the
+        loss carry over and ``estimators_`` still holds ``n_estimators``
+        trees.
     max_candidate_thresholds:
         Passed through to the tree split search.
     random_state:
@@ -111,7 +114,11 @@ class GradientBoostingClassifier(BaseClassifier):
             if self.subsample < 1.0:
                 sample_size = max(1, int(round(self.subsample * n_samples)))
                 indices = rng.choice(n_samples, size=sample_size, replace=False)
-                tree.fit(X[indices], residuals[indices], sample_weight=weights[indices])
+                if weights[indices].any():
+                    tree.fit(X[indices], residuals[indices], sample_weight=weights[indices])
+                else:
+                    # Nothing to learn from: a single leaf predicting 0.
+                    tree.fit(X[indices], np.zeros(sample_size))
             else:
                 tree.fit(X, residuals, sample_weight=weights)
             scores = scores + self.learning_rate * tree._walk(X)

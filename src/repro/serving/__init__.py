@@ -51,11 +51,13 @@ which also scores time-to-recovery and fairness-regret.
 Thread safety
 -------------
 A :class:`PredictionService` **is** safe to share across caller threads:
-:class:`ServiceStats` accumulation and the attached monitor's window updates
-are serialized under one internal service lock, and ``predict`` after
-``close()`` raises :class:`~repro.exceptions.ValidationError`.  A
-bare :class:`FairnessMonitor` is **not** internally synchronized — share it
-only through a service (which locks around ``update``) or add your own
+the attached monitor scores requests outside the service's lock, the
+window commits and :class:`ServiceStats` accumulation are serialized under
+it, and ``predict`` after ``close()`` raises
+:class:`~repro.exceptions.ValidationError`.  A bare
+:class:`FairnessMonitor`'s window is **not** internally synchronized —
+``score`` only reads the configuration, but share ``commit`` / ``update``
+only through a service (which locks around the commit) or add your own
 lock.  Loaded artifacts and :class:`~repro.interventions.DeployedModel`
 instances are read-only at predict time and safe to share.
 
@@ -89,14 +91,16 @@ Scaling out
 One service is the single-shard case.  To serve the same
 artifact from N shards, see :mod:`repro.fleet`: ``load_artifact(...,
 mmap_mode="r")`` memory-maps the payload so every extra worker's cold start
-is O(manifest) rather than O(weights), per-shard monitors stay mergeable —
-:meth:`FairnessMonitor.merge` folds their ``state_dict``s into the exact
-state one monitor would hold after observing the union stream (chunks carry
-monotone sequence stamps, so the merge is associative, order-invariant, and
-bit-identical) — and :class:`~repro.fleet.FleetService` sends requests
-round-robin to the shards while aggregating their :class:`ServiceStats` and
-merged windowed report.  Everything here stays valid per shard; the fleet layer
-only adds dispatch and aggregation on top.
+is O(manifest) rather than O(weights), and
+:class:`~repro.fleet.FleetService` sends requests round-robin to the shards,
+commits the monitor chunk each shard scored into one front-end window in
+sequence order, and sums the shards' :class:`ServiceStats`.  Saved
+per-shard windows stay mergeable too: :meth:`FairnessMonitor.merge` folds
+their ``state_dict``s into the exact state one monitor would hold after
+observing the union stream (chunks carry monotone sequence stamps, so the
+merge is associative, order-invariant, and bit-identical).  Everything here
+stays valid per shard; the fleet layer only adds dispatch and the front-end
+window on top.
 
 Quickstart::
 

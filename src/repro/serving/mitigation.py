@@ -211,7 +211,6 @@ def calibrate_thresholds(
         raise ValidationError("target_false_alarm_rate must be in [0, 1)")
     base = monitor.baselines
     probe = monitor.config_clone()
-    probe.set_baselines(base)
     min_samples = probe.thresholds.min_samples
 
     # Per eligible step, the raw statistic each active channel would compare

@@ -42,28 +42,40 @@ window aggregates, baselines), and it is registered with
 paused into an artifact and resumed with bit-identical windowed reports and
 alarm decisions.
 
-The monitor is also **mergeable**: every update chunk carries a monotone
+The monitor is also **mergeable**: every committed chunk carries a monotone
 *sequence number* (self-assigned, or stamped globally by a
-:class:`~repro.fleet.FleetService` fanning one stream across shards), window
-float statistics are folded from the retained chunks in sequence order
-(never carried as running add/subtract aggregates, whose value would depend
-on evicted history), and :meth:`FairnessMonitor.merge` /
-:meth:`FairnessMonitor.merge_state_dicts` reduce per-shard windows into one
-monitor that is bit-identical — same ``state_dict``, reports, statuses, and
-alarms — to a single monitor that observed the union stream.  Merging is
-associative and order-invariant: chunks are reordered by sequence, every
-monitor records its eviction horizon (the highest sequence it ever evicted
-— anything below it is provably union-evicted, since front-first eviction
-drops a time-prefix), and the merge replay discards chunks below the
-combined horizon before evicting afresh, so any merge tree converges to the
-same state.
+:class:`~repro.fleet.FleetService` fanning one stream across shards).  The
+window's float statistics are running add/subtract aggregates held
+*exactly*: each chunk's violation and log-density sums enter the window as
+integers in units of 2**-1074 (every finite double is an exact multiple of
+that unit), so adding and evicting a chunk is exact integer arithmetic and
+a status read is one correctly rounded division — equal to
+:func:`math.fsum` of the retained chunk sums, whatever evicted history the
+window carries.  :meth:`FairnessMonitor.merge` /
+:meth:`FairnessMonitor.merge_state_dicts` reduce saved per-shard windows
+into one monitor that is bit-identical — same ``state_dict``, reports,
+statuses, and alarms — to a single monitor that observed the union stream.
+Merging is associative and order-invariant: chunks are reordered by
+sequence, every monitor records its eviction horizon (the highest sequence
+it ever evicted — anything below it is provably union-evicted, since
+front-first eviction drops a time-prefix), and the merge replay discards
+chunks below the combined horizon before evicting afresh, so any merge
+tree converges to the same state.
+
+Scoring and committing are separate steps: :meth:`FairnessMonitor.score`
+turns one served batch into a :class:`MonitorChunk` reading only the
+monitor's configuration, and :meth:`FairnessMonitor.commit` adds a chunk to
+the window.  A service scores outside its lock and commits under it, and a
+fleet's shards score while the front-end commits every chunk, in sequence
+order, into its one window.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Deque, Dict, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,6 +90,34 @@ LOG_DENSITY_FLOOR = -700.0
 """Clamp for ``-inf`` log-densities (zero density under a compact kernel):
 ``exp(-700)`` sits just above the smallest positive double, so a clamped
 window mean stays finite while still signalling maximal drift."""
+
+_UNIT = 2**1074
+"""Window sums are held as integer multiples of ``1 / _UNIT`` = 2**-1074, the
+smallest positive double, of which every finite double is an exact multiple."""
+
+
+def _units(value: float) -> int:
+    """``value`` (a finite double) as an exact integer count of 2**-1074."""
+    numerator, denominator = value.as_integer_ratio()
+    # The denominator is a power of two, 2**k with k <= 1074.
+    return numerator << (1075 - denominator.bit_length())
+
+
+class MonitorChunk(NamedTuple):
+    """One scored batch, as :meth:`FairnessMonitor.score` returns it.
+
+    ``counts`` are the batch's group outcome counts (empty for a
+    group-blind batch), ``rows`` its size, and the two channel sums are
+    over the ``violation_rows`` / ``log_density_rows`` rows each channel
+    scored.  :meth:`FairnessMonitor.commit` adds it to a window.
+    """
+
+    counts: StreamCounts
+    rows: int
+    violation_sum: float
+    violation_rows: int
+    log_density_sum: float
+    log_density_rows: int
 
 
 @dataclass(frozen=True)
@@ -290,17 +330,18 @@ class FairnessMonitor(BaseEstimator):
         self.thresholds = thresholds
 
         # Per retained batch: (counts, batch size, violation sum, violation
-        # rows, log-density sum, log-density rows, sequence number).  The
-        # integer aggregates below are running (integer add/subtract is
-        # exact); the float window sums are *folded from the chunks* on
-        # demand so their value depends only on the retained window, never
-        # on the add/subtract history of evicted chunks — the property that
-        # makes shard merging bit-identical.
-        self._chunks: Deque[Tuple[StreamCounts, int, float, int, float, int, int]] = deque()
+        # rows, log-density sum, log-density rows, sequence number), the two
+        # channel sums as exact integer multiples of 2**-1074.  Every window
+        # aggregate below is running and exact, so evicting a chunk leaves
+        # no rounding of it behind: the window's value depends only on the
+        # retained chunks, the property shard merging relies on.
+        self._chunks: Deque[Tuple[StreamCounts, int, int, int, int, int, int]] = deque()
         self._window_counts = StreamCounts()
         self._window_rows = 0
         self._violation_rows = 0
         self._log_density_rows = 0
+        self._violation_total = 0
+        self._log_density_total = 0
         self._next_sequence = 0
         # Highest sequence number ever evicted (-1 before any eviction): the
         # eviction horizon.  Merging drops chunks at or below any input's
@@ -314,8 +355,16 @@ class FairnessMonitor(BaseEstimator):
         self.n_seen = 0
 
     # ----------------------------------------------------------- updating
-    def update(self, y_pred, group=None, *, y_true=None, X=None, sequence=None) -> int:
-        """Fold one served batch into the window; returns the batch's sequence.
+    def score(self, y_pred, group=None, *, y_true=None, X=None) -> MonitorChunk:
+        """Score one served batch into a chunk, without touching the window.
+
+        Reads only the monitor's configuration (profile, density estimator,
+        numeric width), so it may run concurrently with other scoring and
+        with reads.  Raises :class:`~repro.exceptions.ValidationError` on
+        anything :meth:`commit` could not add: a batch
+        :meth:`~repro.fairness.StreamCounts.from_batch` rejects, feature
+        rows narrower than the scored numeric columns or holding NaN/inf,
+        and a channel sum that is not finite.
 
         Parameters
         ----------
@@ -335,24 +384,7 @@ class FairnessMonitor(BaseEstimator):
         X:
             Optional feature rows; scored for conformance violation when the
             monitor holds a profile and for log-density when it holds a
-            density estimator.  Rows narrower than the scored numeric
-            columns, or with NaN/inf in them, raise
-            :class:`~repro.exceptions.ValidationError` and leave the monitor
-            unchanged.
-        sequence:
-            Optional global position of this batch in the stream.  Left
-            ``None`` (a single monitor consuming its own stream) the monitor
-            self-assigns 0, 1, 2, …; a fleet front-end fanning one stream
-            across shards stamps each dispatched batch with the stream-wide
-            sequence instead, which is what lets :meth:`merge` reconstruct
-            the union window in arrival order.
-
-        Returns
-        -------
-        int
-            The sequence stamp this batch was folded in under (the assigned
-            value when ``sequence`` was ``None``) — what event-log emitters
-            key their ``request`` events by.
+            density estimator.
         """
         counts = (
             StreamCounts.from_batch(y_pred, group, y_true)
@@ -370,50 +402,78 @@ class FairnessMonitor(BaseEstimator):
             log_densities = self.log_density_scores(X)
             density_sum = float(log_densities.sum())
             density_scored = int(log_densities.shape[0])
+        if not (math.isfinite(violation_sum) and math.isfinite(density_sum)):
+            raise ValidationError(
+                "the batch's conformance-violation or log-density sum is not finite "
+                f"({violation_sum!r}, {density_sum!r})"
+            )
+        return MonitorChunk(counts, size, violation_sum, scored, density_sum, density_scored)
+
+    def commit(self, chunk: MonitorChunk, *, sequence: Optional[int] = None) -> int:
+        """Add a scored chunk to the window; returns the chunk's sequence.
+
+        ``sequence`` is the chunk's global position in the stream.  Left
+        ``None`` (a single monitor consuming its own stream) the monitor
+        self-assigns 0, 1, 2, …; a fleet front-end committing the chunks
+        its shards scored passes the stream-wide sequence it stamped each
+        request with.  The returned stamp (the assigned value when
+        ``sequence`` was ``None``) is what event-log emitters key their
+        ``request`` events by.  O(1) per chunk plus the chunks it evicts.
+        """
         if sequence is None:
             sequence = self._next_sequence
         else:
             sequence = int(sequence)
             if sequence < 0:
                 raise ValidationError("sequence numbers must be non-negative")
-        self._next_sequence = max(self._next_sequence, sequence + 1)
-        self._chunks.append(
-            (counts, size, violation_sum, scored, density_sum, density_scored, sequence)
+        self._append(
+            (
+                chunk.counts,
+                chunk.rows,
+                _units(chunk.violation_sum),
+                chunk.violation_rows,
+                _units(chunk.log_density_sum),
+                chunk.log_density_rows,
+                sequence,
+            )
         )
+        self._next_sequence = max(self._next_sequence, sequence + 1)
+        self.n_seen += chunk.rows
+        self._evict()
+        return sequence
+
+    def update(self, y_pred, group=None, *, y_true=None, X=None, sequence=None) -> int:
+        """Score one served batch and commit it: ``commit(score(...))``.
+
+        Returns the batch's sequence stamp; a batch :meth:`score` rejects
+        raises :class:`~repro.exceptions.ValidationError` and leaves the
+        monitor unchanged.
+        """
+        return self.commit(self.score(y_pred, group, y_true=y_true, X=X), sequence=sequence)
+
+    def _append(self, entry: Tuple[StreamCounts, int, int, int, int, int, int]) -> None:
+        counts, size, violation_units, scored, density_units, density_scored, _ = entry
+        self._chunks.append(entry)
         self._window_counts += counts
         self._window_rows += size
         self._violation_rows += scored
         self._log_density_rows += density_scored
-        self.n_seen += size
-        self._evict()
-        return sequence
+        self._violation_total += violation_units
+        self._log_density_total += density_units
 
     def _evict(self) -> None:
         while self._window_rows > self.window_size and len(self._chunks) > 1:
-            counts, size, _, scored, _, density_scored, sequence = self._chunks.popleft()
+            counts, size, violation_units, scored, density_units, density_scored, sequence = (
+                self._chunks.popleft()
+            )
             self._window_counts -= counts
             self._window_rows -= size
             self._violation_rows -= scored
             self._log_density_rows -= density_scored
+            self._violation_total -= violation_units
+            self._log_density_total -= density_units
             if sequence > self._evicted_through:
                 self._evicted_through = sequence
-
-    def _fold_window_sums(self) -> Tuple[float, float]:
-        """Window float sums folded left-to-right over the retained chunks.
-
-        Identical chunk deques fold to identical floats, so a merged monitor
-        whose replayed deque matches the union monitor's reports the same
-        means bit for bit — the determinism running aggregates cannot offer
-        (their value carries the add/subtract history of evicted chunks).
-        The deque is short (window_size / batch size entries), so the fold is
-        a negligible O(#chunks) per status call.
-        """
-        violation_sum = 0.0
-        density_sum = 0.0
-        for _, _, chunk_violation, _, chunk_density, _, _ in self._chunks:
-            violation_sum += chunk_violation
-            density_sum += chunk_density
-        return violation_sum, density_sum
 
     # -------------------------------------------------------------- drift
     def _numeric_columns(self, X, width_default: Optional[int]) -> np.ndarray:
@@ -539,27 +599,27 @@ class FairnessMonitor(BaseEstimator):
         return self._baseline_group_fraction
 
     def config_clone(self) -> "FairnessMonitor":
-        """An *empty* monitor sharing this monitor's configuration.
+        """An *empty* monitor sharing this monitor's configuration and baselines.
 
         The profile and density estimator are shared by reference (both are
         read-only at scoring time), not copied — this is the cheap way to
-        stamp out per-shard monitors, and the target a fleet aggregator loads
-        merged shard state into.  Baselines and window contents are not
-        carried over.
+        stamp out a fleet front-end's window from a shard's monitor.  Window
+        contents are not carried over.
         """
-        return FairnessMonitor(
+        clone = FairnessMonitor(
             window_size=self.window_size,
             profile=self.profile,
             density_estimator=self.density_estimator,
             n_numeric_features=self.n_numeric_features,
             thresholds=self.thresholds,
         )
+        clone.set_baselines(self.baselines)
+        return clone
 
     def drift_status(self) -> DriftStatus:
         """Current state of the conformance-drift alarm."""
         n = self._violation_rows
-        violation_sum, _ = self._fold_window_sums()
-        mean = violation_sum / n if n else 0.0
+        mean = self._violation_total / _UNIT / n if n else 0.0
         baseline = self._baseline_violation
         if baseline is None:
             return DriftStatus(n, mean, None, None, False)
@@ -575,8 +635,7 @@ class FairnessMonitor(BaseEstimator):
     def density_status(self) -> DensityDriftStatus:
         """Current state of the density-drift signal."""
         n = self._log_density_rows
-        _, density_sum = self._fold_window_sums()
-        mean = density_sum / n if n else 0.0
+        mean = self._log_density_total / _UNIT / n if n else 0.0
         baseline = self._baseline_log_density
         if baseline is None:
             return DensityDriftStatus(n, mean, None, None, False)
@@ -602,7 +661,7 @@ class FairnessMonitor(BaseEstimator):
 
     @property
     def last_sequence(self) -> int:
-        """Highest sequence stamp folded into this monitor (-1 before any)."""
+        """Highest sequence stamp committed to this monitor (-1 before any)."""
         return self._next_sequence - 1
 
     def alarmed_channels(self) -> Tuple[str, ...]:
@@ -812,10 +871,11 @@ class FairnessMonitor(BaseEstimator):
     def state_dict(self) -> Dict[str, Any]:
         """Pack the full sliding window into flat, artifact-storable state.
 
-        The per-chunk float sums are the *only* float window state — window
-        means are folded from them in sequence order on demand — so the state
-        is exactly reproducible: restoring the chunks restores every report
-        and status bit for bit, and two monitors with equal states are
+        The per-chunk channel sums are the *only* float window state — the
+        window holds them as exact integers in units of 2**-1074, and the
+        conversion is exact both ways — so the state is exactly
+        reproducible: restoring the chunks restores every report and status
+        bit for bit, and two monitors with equal states are
         indistinguishable.  That is also what makes states comparable with
         ``==`` in merge tests.
         """
@@ -846,8 +906,8 @@ class FairnessMonitor(BaseEstimator):
             ).reshape(len(chunks), 3),
             "chunk_sums_": np.array(
                 [
-                    [violation_sum, density_sum]
-                    for _, _, violation_sum, _, density_sum, _, _ in chunks
+                    [violation_units / _UNIT, density_units / _UNIT]
+                    for _, _, violation_units, _, density_units, _, _ in chunks
                 ],
                 dtype=np.float64,
             ).reshape(len(chunks), 2),
@@ -893,6 +953,8 @@ class FairnessMonitor(BaseEstimator):
         self._chunks = deque(chunks)
         self._window_counts = StreamCounts(window_counts.copy())
         self._window_rows, self._violation_rows, self._log_density_rows = window_rows
+        self._violation_total = sum(chunk[2] for chunk in chunks)
+        self._log_density_total = sum(chunk[4] for chunk in chunks)
         self._next_sequence = int(state["next_sequence_"])
         self._evicted_through = int(state["evicted_through_"])
         self.thresholds = MonitorThresholds.from_dict(dict(state["thresholds_"]))
@@ -914,7 +976,7 @@ class FairnessMonitor(BaseEstimator):
         aggregates must equal.  Raises
         :class:`~repro.exceptions.ValidationError` unless the four chunk
         arrays have the shapes ``(k, 2, 6)``, ``(k, 3)``, ``(k, 2)`` and
-        ``(k,)`` for one ``k``.
+        ``(k,)`` for one ``k``, and unless every chunk sum is finite.
         """
         chunk_counts = np.asarray(state["chunk_counts_"], dtype=np.int64)
         chunk_rows = np.asarray(state["chunk_rows_"], dtype=np.int64)
@@ -927,8 +989,18 @@ class FairnessMonitor(BaseEstimator):
                 "FairnessMonitor chunk state arrays must have the shapes (k, 2, 6), "
                 f"(k, 3), (k, 2) and (k,) for one k; got {shapes}"
             )
+        if not np.isfinite(chunk_sums).all():
+            raise ValidationError("FairnessMonitor chunk_sums_ must be finite")
         chunks = [
-            (StreamCounts(counts), size, violation_sum, scored, density_sum, density_scored, seq)
+            (
+                StreamCounts(counts),
+                size,
+                _units(violation_sum),
+                scored,
+                _units(density_sum),
+                density_scored,
+                seq,
+            )
             for counts, (size, scored, density_scored), (violation_sum, density_sum), seq in zip(
                 chunk_counts.copy(),
                 chunk_rows.tolist(),
@@ -1020,11 +1092,7 @@ class FairnessMonitor(BaseEstimator):
                 # one, so the union monitor evicted this chunk too (front-
                 # first eviction drops a time-prefix).
                 continue
-            merged._chunks.append(chunk)
-            merged._window_counts += chunk[0]
-            merged._window_rows += chunk[1]
-            merged._violation_rows += chunk[3]
-            merged._log_density_rows += chunk[5]
+            merged._append(chunk)
             merged._evict()
         merged.n_seen = sum(int(state["n_seen_"]) for state in states)
         merged._next_sequence = max(int(state["next_sequence_"]) for state in states)

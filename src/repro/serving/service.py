@@ -11,20 +11,25 @@ declared capabilities: a request without group membership is rejected
 group-blind end to end, which is the paper's deployment premise.
 
 A :class:`~repro.serving.monitor.FairnessMonitor` can be attached; every
-served batch then feeds the monitor's sliding window (predictions, audit
-group labels, optional delayed ground truth, and the raw features for
-conformance-drift scoring).
+served batch is then scored into a chunk (predictions, audit group labels,
+optional delayed ground truth, and the raw features for conformance and
+density drift) and committed to the monitor's sliding window.  A fleet
+shard serves through :meth:`PredictionService.predict_and_score` instead,
+which returns the chunk uncommitted for the fleet front-end's window.
 
 Thread safety
 -------------
-One :class:`PredictionService` may be shared across caller threads: the
-:class:`ServiceStats` accumulation and the monitor feed are serialized under
-a single internal lock, so concurrent ``predict`` calls never drop a stats
-update, and the attached monitor sees whole batches in a consistent order
-(the *relative* order of concurrent requests is whatever the race resolves
-to, as for any concurrent server).  ``close`` is idempotent; a ``predict``
-after ``close`` raises :class:`~repro.exceptions.ValidationError`.  The
-model itself must be read-only at predict time (every shipped learner is).
+One :class:`PredictionService` may be shared across caller threads.  The
+model predict and the monitor's scoring run outside any lock, so
+concurrent requests score concurrently; only the monitor commit, the
+``request`` event and the :class:`ServiceStats` accumulation are
+serialized under one internal lock.  Concurrent ``predict`` calls
+therefore never drop a stats update, and the attached monitor sees whole
+batches in a consistent order (the *relative* order of concurrent requests
+is whatever the race for the lock resolves to, as for any concurrent
+server).  ``close`` is idempotent; a ``predict`` after ``close`` raises
+:class:`~repro.exceptions.ValidationError`.  The model itself must be
+read-only at predict time (every shipped learner is).
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ class ServiceStats:
     """Cumulative serving statistics (requests, records, wall time).
 
     ``total_seconds`` is end to end per served request: model predict, the
-    monitor feed and the event emit (the same interval
+    monitor's scoring and commit, and the event emit (the same interval
     ``serving.request_latency_seconds`` observes).  A request that raises is
     not counted.
     """
@@ -82,7 +87,8 @@ class PredictionService:
     batch_size:
         Maximum rows per micro-batch.
     monitor:
-        Optional :class:`FairnessMonitor` fed after every request.
+        Optional :class:`FairnessMonitor` that scores every request (and,
+        through :meth:`predict`, commits it to its window).
     telemetry:
         Optional :class:`~repro.telemetry.MetricsRegistry` to record into;
         defaults to the process-wide registry.  When the registry is enabled
@@ -90,16 +96,16 @@ class PredictionService:
         ``serving.records_total`` counters and the
         ``serving.request_latency_seconds`` / ``serving.batch_rows``
         histograms; request latency is end to end, from the start of the
-        model predict until the monitor feed and the event emit are done
+        model predict until the monitor commit and the event emit are done
         (:class:`ServiceStats` times the same interval).  When disabled the
         cost is one attribute read per request.  Fleet shards pass private
         registries so per-shard histograms merge without double counting.
     events:
         Optional :class:`~repro.telemetry.EventLog` (flight recorder);
         defaults to the process-wide log.  When enabled, every monitored
-        request emits a ``request`` event keyed by the sequence stamp the
-        monitor folded it under, so shard-local logs merge bit-identically
-        to the union stream.  Fleet shards pass private logs, mirroring the
+        request emits a ``request`` event keyed by its sequence stamp (the
+        monitor's, or the one a fleet front-end passed), so shard-local
+        logs merge bit-identically to the union stream.  Fleet shards pass private logs, mirroring the
         registry discipline.
     shard_id:
         Optional shard identity stamped onto ``serving.request`` spans so a
@@ -138,8 +144,8 @@ class PredictionService:
         self._m_batch_rows = self.telemetry.histogram(
             "serving.batch_rows", buckets=DEFAULT_SIZE_BUCKETS, resolution=1.0
         )
-        # Serializes stats accumulation, the monitor feed, and the closed
-        # flag; never held across a model predict call.
+        # Serializes stats accumulation, the monitor commit, and the closed
+        # flag; never held across a model predict or a monitor score.
         self._lock = threading.Lock()
         self._closed = False
 
@@ -174,9 +180,7 @@ class PredictionService:
         information consumed by the attached monitor (never by the model).
         ``y_true`` (optional, audit) likewise only feeds the monitor.
         ``sequence`` (optional) stamps the monitor chunk with a stream-wide
-        position — a :class:`~repro.fleet.FleetService` fanning one stream
-        across shards passes it so per-shard monitor windows stay mergeable
-        into the union view; standalone callers leave it ``None``.
+        position; standalone callers leave it ``None``.
         ``trace_id`` (optional) is the fleet-assigned trace identity for this
         micro-batch: when present (and telemetry is enabled) the request is
         wrapped in a ``serving.request`` span carrying
@@ -186,8 +190,27 @@ class PredictionService:
 
         Safe to call from multiple threads; raises
         :class:`~repro.exceptions.ValidationError` once the service has been
-        closed.
+        closed, and on a request the model or the monitor's scoring rejects
+        (which then leaves the monitor, the stats and the event log as they
+        were).
         """
+        return self._serve(X, group, y_true, sequence, trace_id, commit=True)[0]
+
+    def predict_and_score(self, X, group=None, *, y_true=None, sequence=None, trace_id=None):
+        """Serve one request like :meth:`predict`, leaving its chunk uncommitted.
+
+        Returns ``(predictions, chunk)``: the attached monitor's
+        :class:`~repro.serving.monitor.MonitorChunk` for the request, or
+        ``None`` without a monitor.  The service's own window is not
+        touched; the stats, the telemetry and the ``request`` event (keyed
+        by ``sequence``) are recorded as :meth:`predict` records them.  A
+        :class:`~repro.fleet.FleetService` shard serves through this, and
+        the front-end commits every shard's chunks, in sequence order, into
+        its one window.
+        """
+        return self._serve(X, group, y_true, sequence, trace_id, commit=False)
+
+    def _serve(self, X, group, y_true, sequence, trace_id, *, commit: bool):
         if self._closed:
             raise ValidationError(
                 "PredictionService is closed; predictions after close() are not "
@@ -218,27 +241,29 @@ class PredictionService:
         with span_cm as span_handle:
             start = time.perf_counter()
             predictions = self._predict_batched(X, group)
+            # Group-blind requests are scored too: the drift channels read
+            # features alone, only the fairness counts need `group`.
+            chunk = (
+                None
+                if self.monitor is None
+                else self.monitor.score(predictions, group, y_true=y_true, X=X)
+            )
 
             # Stats are read-modify-write and the monitor's sliding window is
             # not internally synchronized; one lock keeps both exact under
             # concurrent callers.
             with self._lock:
                 served_sequence = sequence
-                if self.monitor is not None:
-                    # Group-blind requests still feed the monitor: the drift
-                    # alarm scores features alone, only the fairness counts
-                    # need `group`.
-                    served_sequence = self.monitor.update(
-                        predictions, group, y_true=y_true, X=X, sequence=sequence
-                    )
+                if commit and chunk is not None:
+                    served_sequence = self.monitor.commit(chunk, sequence=sequence)
                 if served_sequence is not None and self.events.enabled:
-                    # Keyed by the monitor's sequence stamp — never by trace
-                    # id or wall clock — so shard logs merge bit-identically.
+                    # Keyed by the sequence stamp — never by trace id or
+                    # wall clock — so shard logs merge bit-identically.
                     self.events.emit(
                         "request", sequence=int(served_sequence), rows=int(X.shape[0])
                     )
-                # End to end: the clock stops after the monitor feed and the
-                # event emit, the request's last stages.
+                # End to end: the clock stops after the monitor commit and
+                # the event emit, the request's last stages.
                 elapsed = time.perf_counter() - start
                 self.stats.n_requests += 1
                 self.stats.n_records += int(X.shape[0])
@@ -252,7 +277,7 @@ class PredictionService:
                 )
             if span_handle is not None and served_sequence is not None:
                 span_handle.set(sequence=int(served_sequence))
-        return predictions
+        return predictions, chunk
 
     def close(self) -> None:
         """Refuse further predictions.

@@ -152,8 +152,9 @@ class ReplayHarness:
         :class:`~repro.serving.FairnessMonitor` attached (the monitor is the
         thing under test; a replay without one raises
         :class:`~repro.exceptions.SimulationError`).  Anything speaking the
-        same protocol works too — a :class:`~repro.fleet.FleetService` whose
-        ``monitor`` property merges the shard windows replays identically,
+        same protocol works too — a :class:`~repro.fleet.FleetService`, whose
+        ``monitor`` is the front-end's window over every shard, replays
+        identically,
         and a :class:`~repro.serving.MitigationController` closes the loop:
         its transition events land on the :class:`StepRecord` where they
         fired and the result gains time-to-recovery / fairness-regret
@@ -170,8 +171,9 @@ class ReplayHarness:
 
     @property
     def monitor(self):
-        """The monitor under test (re-read per access: a fleet's merged
-        monitor is rebuilt from the shard windows as traffic flows)."""
+        """The monitor under test (re-read per access, as a service may
+        swap it; a :class:`~repro.serving.MitigationController` does on
+        promotion)."""
         return self.service.monitor
 
     # ------------------------------------------------------------- replay
@@ -195,9 +197,9 @@ class ReplayHarness:
         whose alarmed-channel set differs from the previous step's — emits
         an ``alarm_edge`` event plus a ``channel_snapshot`` carrying the
         monitor's full :meth:`~repro.serving.FairnessMonitor.alarm_report`
-        attribution, both keyed by the merged monitor's latest sequence
-        stamp.  Edges are detected here, where the merged (fleet-level)
-        monitor is observed, so a sharded replay records the same edges as
+        attribution, both keyed by the monitor's latest sequence stamp.
+        Edges are detected here, where the (fleet-level) monitor is
+        observed, so a sharded replay records the same edges as
         the single-service run.
 
         ``recovery_tolerance`` sets the recovery band: the stream has
@@ -234,7 +236,7 @@ class ReplayHarness:
                     channels = self.monitor.alarmed_channels()
                     step_span.set(channels=list(channels))
                 if channels != previous_channels and events.enabled:
-                    # Edge detection happens here — the one place the merged
+                    # Edge detection happens here — the one place the
                     # (fleet-level) monitor is observed — keyed by its latest
                     # sequence stamp, so sharded and single-service replays
                     # record identical forensics.

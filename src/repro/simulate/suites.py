@@ -244,9 +244,10 @@ class SuiteRunner:
         With ``shards=N`` the returned service is a
         :class:`~repro.fleet.FleetService` over N in-process shard workers,
         each serving the same model with its own fresh baseline-installed
-        monitor.  Round-robin dispatch plus the fleet's sequence stamping
-        make its merged monitor — and therefore the replay verdict —
-        bit-identical to the single-service run.
+        monitor to score with.  The front-end commits the shards' chunks in
+        sequence order into one window, which makes the fleet's monitor —
+        and therefore the replay verdict — bit-identical to the
+        single-service run.
 
         With ``mitigate=True`` the single-shard service is wrapped in a
         :class:`~repro.serving.MitigationController` (refit recipe and knobs

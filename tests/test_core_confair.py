@@ -6,8 +6,13 @@ import pytest
 from repro.core import ConFair
 from repro.core.tuning import tune_intervention_degree
 from repro.exceptions import NotFittedError, ValidationError
-from repro.fairness import evaluate_predictions
+from repro.fairness import (
+    disparate_impact_star,
+    equalized_odds_difference,
+    evaluate_predictions,
+)
 from repro.learners import LogisticRegressionClassifier, make_learner
+from repro.learners.metrics import balanced_accuracy_score
 
 
 class TestWeights:
@@ -137,6 +142,42 @@ class TestTuningHelper:
         assert result.best_degree in (0.0, 1.0, 2.0)
         fairness_by_degree = {t.degree: t.fairness for t in result.trials}
         assert result.best_fairness == pytest.approx(max(fairness_by_degree.values()))
+
+    @pytest.mark.parametrize("fairness_target", ["di", "fnr", "fpr"])
+    def test_trials_equal_the_metrics_recomputed(self, drifted_split, fairness_target):
+        """Each trial's fairness and balanced accuracy come from one report;
+        they equal the metric functions applied to the trial model's
+        validation predictions."""
+        split = drifted_split
+        confair = ConFair(alpha_u=0.0).fit(split.train)
+
+        def weights(alpha):
+            return confair.compute_weights(alpha_u=alpha).weights
+
+        result = tune_intervention_degree(
+            weight_fn=weights,
+            train=split.train,
+            validation=split.validation,
+            learner=make_learner("lr", random_state=0),
+            candidate_degrees=(0.0, 1.0, 2.0),
+            fairness_target=fairness_target,
+        )
+        for trial in result.trials:
+            model = make_learner("lr", random_state=0)
+            model.fit(split.train.X, split.train.y, sample_weight=weights(trial.degree))
+            predictions = model.predict(split.validation.X)
+            assert trial.balanced_accuracy == balanced_accuracy_score(
+                split.validation.y, predictions
+            )
+            if fairness_target == "di":
+                expected = disparate_impact_star(
+                    split.validation.y, predictions, split.validation.group
+                )
+            else:
+                expected = 1.0 - equalized_odds_difference(
+                    split.validation.y, predictions, split.validation.group, rate=fairness_target
+                )
+            assert trial.fairness == expected
 
     def test_empty_grid_rejected(self, drifted_split):
         with pytest.raises(ValidationError):

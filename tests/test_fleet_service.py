@@ -1,10 +1,11 @@
 """Fleet front-end and shard-worker tests.
 
 Covers the :class:`FleetService` dispatch/aggregation contract (round-robin
-determinism, merged monitor == union stream and never stale after a request
-completes, stats summed, one snapshot per shard per report), the
-process-backed workers (mmap cold start, snapshot over the pipe, error and
-lifecycle handling), and the ``repro-fleet`` CLI surface.
+determinism, the front-end window == the union stream's monitor and never
+stale after a request completes, chunks committed in sequence order however
+requests finish, stats summed, one snapshot per shard per report), the
+process-backed workers (mmap cold start, chunks and snapshots over the
+pipe, error and lifecycle handling), and the ``repro-fleet`` CLI surface.
 """
 
 from __future__ import annotations
@@ -92,6 +93,12 @@ class ProbedWorker:
     def snapshot(self):
         self.n_snapshots += 1
         return self.inner.snapshot()
+
+
+def assert_same_state(a: dict, b: dict) -> None:
+    assert set(a) == set(b)
+    for key in a:
+        np.testing.assert_array_equal(a[key], b[key], err_msg=key)
 
 
 def requests(n, *, rows=40, seed=3):
@@ -199,7 +206,7 @@ class TestFleetAggregation:
         with FleetService(workers) as fleet:
             for X, group, y in requests(5):
                 fleet.predict(X, group, y_true=y)
-            for _ in range(2):  # a cache miss, then a cache hit
+            for _ in range(2):  # two reports in a row
                 for worker in workers:
                     worker.n_snapshots = 0
                 report = fleet.fleet_report()
@@ -208,6 +215,62 @@ class TestFleetAggregation:
         assert report["n_shards"] == 2
         assert report["n_records"] == 200
         assert [s["shard_id"] for s in report["shards"]] == [0, 1]
+
+    def test_out_of_order_completion_commits_in_sequence_order(self, fitted):
+        """Requests 2 and 3 finish while request 1 is held: the window shows
+        only request 0 until request 1 finishes, then all four in order."""
+        result, _ = fitted
+        probed = ProbedWorker(make_inline_worker(result, shard_id=1))
+        workers = [make_inline_worker(result, 0), probed, make_inline_worker(result, 2)]
+        batches = list(requests(4, rows=25))
+        with FleetService(workers) as fleet:
+            fleet.predict(*batches[0][:2], y_true=batches[0][2])
+            probed.hold = (threading.Event(), threading.Event())
+            entered, release = probed.hold
+            held = threading.Thread(
+                target=fleet.predict, args=batches[1][:2], kwargs={"y_true": batches[1][2]}
+            )
+            held.start()
+            assert entered.wait(timeout=30)
+            for X, group, y in batches[2:]:  # shards 2 and 0, on their own threads
+                thread = threading.Thread(
+                    target=fleet.predict, args=(X, group), kwargs={"y_true": y}
+                )
+                thread.start()
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert fleet.monitor.n_seen == 25 and fleet.monitor.last_sequence == 0
+            release.set()
+            held.join(timeout=30)
+            assert not held.is_alive()
+            assert fleet.monitor.last_sequence == 3
+            state = fleet.monitor.state_dict()
+
+        union = make_monitor()
+        single = PredictionService(result.model, monitor=union)
+        for X, group, y in batches:
+            single.predict(X, group, y_true=y)
+        assert_same_state(state, union.state_dict())
+
+    def test_a_rejected_request_does_not_stall_later_commits(self, fitted):
+        result, _ = fitted
+        batches = list(requests(4, rows=20))
+        X, group, y = batches[1]
+        batches[1] = (X[:, :-1], group, y)  # the wrong width for the model
+        union = make_monitor()
+        with make_fleet(result, 2) as fleet:
+            for sequence, (X, group, y) in enumerate(batches):
+                if sequence == 1:
+                    with pytest.raises(ValueError, match="features"):
+                        fleet.predict(X, group, y_true=y)
+                    continue
+                fleet.predict(X, group, y_true=y)
+                union.update(
+                    PredictionService(result.model).predict(X), group, y_true=y, X=X,
+                    sequence=sequence,
+                )
+                assert fleet.monitor.last_sequence == sequence
+            assert_same_state(fleet.monitor.state_dict(), union.state_dict())
 
     def test_monitorless_fleet_reports_without_window(self, fitted):
         result, _ = fitted
@@ -237,9 +300,25 @@ class TestProcessWorkers:
                 )
             snapshot = fleet.snapshots()[0]
             assert isinstance(snapshot, ShardSnapshot)
-            assert snapshot.monitor_state is not None
+            assert snapshot.stats.n_requests == 2
             assert fleet.monitor.n_seen == 160
             assert all(s.cold_start_seconds > 0 for s in fleet.snapshots())
+
+    def test_process_and_inline_fleets_end_with_equal_windows(self, fitted, tmp_path):
+        """Every chunk the front-end window holds crossed the pipe."""
+        result, artifact = fitted
+        monitor_path = save_artifact(make_monitor(), tmp_path / "monitor")
+        process = FleetService(
+            [ProcessShardWorker(artifact, shard_id=i, monitor_path=monitor_path) for i in range(2)]
+        )
+        with process, make_fleet(result, 2) as inline:
+            for X, group, y in requests(5):
+                np.testing.assert_array_equal(
+                    process.predict(X, group, y_true=y), inline.predict(X, group, y_true=y)
+                )
+            assert process.monitor.n_seen == 200
+            assert_same_state(process.monitor.state_dict(), inline.monitor.state_dict())
+            assert process.fleet_report()["windowed"] == inline.fleet_report()["windowed"]
 
     def test_lifecycle_events_carry_no_timing(self, fitted):
         # Event records carry no wall-clock values, so two runs of one
@@ -269,8 +348,9 @@ class TestProcessWorkers:
         try:
             with pytest.raises(FleetError, match="failed"):
                 worker.predict(np.full((4, SPLIT.deploy.n_features), np.nan))
-            predictions = worker.predict(SPLIT.deploy.X[:8])
+            predictions, chunk = worker.predict(SPLIT.deploy.X[:8])
             assert predictions.shape == (8,)
+            assert chunk is None  # the worker carries no monitor
         finally:
             worker.close()
 

@@ -4,7 +4,10 @@
 boosting loop.  These tests fit the same inputs through both and require the
 flattened trees, ``predict`` outputs, training losses and decision functions
 to be equal by ``tobytes()``; they also pin the tree artifact format, which
-stays the seed's seven flat arrays per tree.
+stays the seed's seven flat arrays per tree.  The oracle raises where a
+subsampled boosting round draws only zero-weight rows; there the learner's
+defined behaviour (a tree predicting 0, the loss carried over) is asserted
+instead.
 """
 
 import json
@@ -17,8 +20,10 @@ from tree_reference import ReferenceDecisionTreeRegressor, ReferenceGradientBoos
 
 from repro import FairnessPipeline
 from repro.datasets import load_dataset, make_drifted_groups, split_dataset
+from repro.exceptions import ValidationError
 from repro.learners import DecisionTreeRegressor, GradientBoostingClassifier, make_learner
 from repro.serving.artifacts import MANIFEST_NAME, PAYLOAD_NAME, load_artifact, save_artifact
+from repro.utils.random import check_random_state
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -148,6 +153,49 @@ def assert_same_boosting(model, oracle, queries):
         assert staged.tobytes() == oracle.staged_decision_function(X).tobytes()
 
 
+def _zero_weight_rounds(params, weights):
+    """The rounds whose subsample (drawn as the boosting loop draws it) holds
+    only zero-weight rows."""
+    rng = check_random_state(params["random_state"])
+    n_rows = weights.shape[0]
+    size = max(1, int(round(params["subsample"] * n_rows)))
+    return [
+        index
+        for index in range(params["n_estimators"])
+        if not weights[rng.choice(n_rows, size=size, replace=False)].any()
+    ]
+
+
+def assert_zero_weight_rounds_carry_over(model, X, y, weights, params, queries):
+    """The defined behaviour where the oracle raises: every round is kept, a
+    round that drew only zero-weight rows adds a tree predicting 0 (so the
+    loss and the staged scores carry over), and the rounds before the first
+    such round equal the oracle's byte for byte."""
+    empty = _zero_weight_rounds(params, weights)
+    assert empty
+    assert len(model.estimators_) == len(model.train_losses_) == params["n_estimators"]
+    normalized = weights / weights.mean()
+    init = np.full(X.shape[0], model.init_score_)
+    losses = [float(np.mean(normalized * (np.logaddexp(0.0, init) - y * init)))]
+    losses += list(model.train_losses_)
+    for index in empty:
+        assert losses[index + 1] == losses[index]
+        for Q in queries:
+            assert not model.estimators_[index].predict(Q).any()
+            staged = model.staged_decision_function(Q)
+            before = staged[index - 1] if index else np.full(Q.shape[0], model.init_score_)
+            assert staged[index].tobytes() == before.tobytes()
+    if empty[0]:
+        prefix = ReferenceGradientBoostingClassifier(**{**params, "n_estimators": empty[0]})
+        prefix.fit(X, y, sample_weight=weights)
+        assert (
+            np.asarray(model.train_losses_[: empty[0]]).tobytes()
+            == np.asarray(prefix.train_losses_).tobytes()
+        )
+        for tree, reference in zip(model.estimators_, prefix.estimators_):
+            assert_same_tree(tree, reference, queries)
+
+
 class TestBoostingEquivalence:
     @SETTINGS
     @given(
@@ -158,6 +206,9 @@ class TestBoostingEquivalence:
         n_estimators=st.integers(1, 6),
         cap=st.sampled_from([None, 2, 16]),
         zero_fraction=st.sampled_from([0.0, 0.3]),
+    )
+    @example(
+        seed=1, n_rows=10, width=70, subsample=0.7, n_estimators=1, cap=None, zero_fraction=0.3
     )
     def test_losses_and_decision_functions_are_byte_identical(
         self, seed, n_rows, width, subsample, n_estimators, cap, zero_fraction
@@ -173,8 +224,35 @@ class TestBoostingEquivalence:
             random_state=seed % 1000,
         )
         model = GradientBoostingClassifier(**params).fit(X, y, sample_weight=weights)
-        oracle = ReferenceGradientBoostingClassifier(**params).fit(X, y, sample_weight=weights)
-        assert_same_boosting(model, oracle, [X, _features(rng, 30, width)])
+        queries = [X, _features(rng, 30, width)]
+        try:
+            oracle = ReferenceGradientBoostingClassifier(**params).fit(
+                X, y, sample_weight=weights
+            )
+        except ValidationError as error:
+            assert "all zeros" in str(error)
+            assert_zero_weight_rounds_carry_over(model, X, y, weights, params, queries)
+        else:
+            assert_same_boosting(model, oracle, queries)
+
+    def test_a_round_that_draws_only_zero_weight_rows_adds_a_zero_tree(self):
+        """The falsifying example hypothesis found: the 7-row subsample of
+        round 0 holds none of the 3 weighted rows, and the fit used to raise
+        "sample_weight must not be all zeros" (the oracle still does)."""
+        rng = np.random.default_rng(1)
+        X = _features(rng, 10, 70)
+        y = rng.integers(0, 2, size=10)
+        weights = _weights(rng, 10, 0.3)
+        params = dict(n_estimators=1, subsample=0.7, max_candidate_thresholds=None, random_state=1)
+        assert _zero_weight_rounds(params, weights) == [0]
+        with pytest.raises(ValidationError, match="all zeros"):
+            ReferenceGradientBoostingClassifier(**params).fit(X, y, sample_weight=weights)
+        model = GradientBoostingClassifier(**params).fit(X, y, sample_weight=weights)
+        assert_zero_weight_rounds_carry_over(model, X, y, weights, params, [X])
+        assert model.estimators_[0].n_leaves_ == 1
+        np.testing.assert_array_equal(
+            model.decision_function(X), np.full(10, model.init_score_)
+        )
 
 
 def _tree_states(node):

@@ -1,8 +1,9 @@
 """Concurrency contract of ``PredictionService``.
 
 Pins exact ``ServiceStats`` accounting and the monitor feed under threaded
-callers (the counters are read-modify-write and used to race), and an
-explicit error for ``predict`` after ``close()``.
+callers (the counters are read-modify-write and used to race), scoring
+outside the service's lock, and an explicit error for ``predict`` after
+``close()``.
 """
 
 from __future__ import annotations
@@ -62,6 +63,35 @@ def test_monitor_sees_every_record_under_threaded_load():
     service = PredictionService(_ThresholdModel(), batch_size=4, monitor=monitor)
     _hammer(service)
     assert monitor.n_seen == N_THREADS * N_REQUESTS_PER_THREAD * ROWS_PER_REQUEST
+
+
+def test_a_request_being_scored_does_not_block_another(monkeypatch):
+    """Scoring runs outside the lock: while one request is held inside the
+    monitor's ``score``, another request is served and committed."""
+    monitor = FairnessMonitor(window_size=10**6)
+    service = PredictionService(_ThresholdModel(), monitor=monitor)
+    entered, release = threading.Event(), threading.Event()
+    score = monitor.score
+
+    def held_first_score(*args, **kwargs):
+        if not entered.is_set():
+            entered.set()
+            release.wait(timeout=30)
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(monitor, "score", held_first_score)
+    first = threading.Thread(target=service.predict, args=(_request_batch(0),))
+    first.start()
+    try:
+        assert entered.wait(timeout=30)
+        service.predict(_request_batch(1))
+        assert monitor.n_seen == ROWS_PER_REQUEST
+    finally:
+        release.set()
+        first.join(timeout=30)
+    assert not first.is_alive()
+    assert monitor.n_seen == 2 * ROWS_PER_REQUEST
+    assert service.stats.n_requests == 2
 
 
 @pytest.mark.parametrize("served_before_close", [True, False], ids=["served", "fresh"])

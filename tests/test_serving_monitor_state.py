@@ -1,23 +1,30 @@
-"""Checkpointing tests for the serving monitor.
+"""Checkpointing and window-sum tests for the serving monitor.
 
 The guarantee under test: a :class:`FairnessMonitor` paused mid-stream via
 ``state_dict`` (directly or through a saved artifact) and resumed into a
 fresh instance behaves **bit-identically** to the uninterrupted monitor —
 same windowed reports, same drift/density/group statuses, same eviction
-decisions — for the remainder of the stream.
+decisions — for the remainder of the stream.  The window's channel sums are
+exact: every windowed mean is the correctly rounded sum of the retained
+chunk sums over the scored rows, whatever was evicted before.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import profile_partitions
 from repro.datasets import make_drifted_groups, split_dataset
 from repro.density import KernelDensity
 from repro.exceptions import ArtifactError, ValidationError
+from repro.fairness import StreamCounts
 from repro.learners.base import clone
 from repro.serving import (
     FairnessMonitor,
@@ -27,6 +34,7 @@ from repro.serving import (
     save_artifact,
 )
 from repro.serving.artifacts import MANIFEST_NAME, read_manifest
+from repro.serving.monitor import MonitorChunk
 
 SPLIT = split_dataset(
     make_drifted_groups(
@@ -176,6 +184,123 @@ class TestCheckpointResume:
                 make_monitor().load_state_dict(state)
             else:
                 FairnessMonitor.merge_state_dicts([state], window_size=monitor.window_size)
+
+
+def same_bits(a: float, b: float) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def assert_means_are_fsums(monitor: FairnessMonitor) -> None:
+    """Both windowed means equal ``math.fsum(retained chunk sums) / n``."""
+    sums = monitor.state_dict()["chunk_sums_"]
+    for status, column, mean in (
+        (monitor.drift_status(), 0, "mean_violation"),
+        (monitor.density_status(), 1, "mean_log_density"),
+    ):
+        n = status.n_scored
+        expected = math.fsum(sums[:, column].tolist()) / n if n else 0.0
+        assert same_bits(getattr(status, mean), expected), (mean, getattr(status, mean), expected)
+
+
+# Finite chunk sums across the double range, subnormals included; -0.0 is
+# folded into 0.0 because an exact integer total carries no sign of zero.
+CHUNK_SUMS = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False).map(
+    lambda x: x + 0.0
+)
+CHUNKS = st.lists(
+    st.tuples(st.integers(1, 40), CHUNK_SUMS, CHUNK_SUMS), min_size=1, max_size=60
+)
+
+
+def scored_chunk(rows: int, violation_sum: float, log_density_sum: float) -> MonitorChunk:
+    return MonitorChunk(StreamCounts(), rows, violation_sum, rows, log_density_sum, rows)
+
+
+class TestExactWindowSums:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(chunks=CHUNKS, window_size=st.integers(1, 300), data=st.data())
+    def test_means_are_fsums_of_the_retained_chunks(self, chunks, window_size, data):
+        """After every commit (evictions included) and through a merge of
+        any sharding, each windowed mean is bit for bit the fsum of the
+        retained chunk sums over the scored rows."""
+        union = FairnessMonitor(window_size=window_size)
+        for chunk in chunks:
+            union.commit(scored_chunk(*chunk))
+            assert_means_are_fsums(union)
+
+        n_shards = data.draw(st.integers(1, 4))
+        owners = data.draw(
+            st.lists(st.integers(0, n_shards - 1), min_size=len(chunks), max_size=len(chunks))
+        )
+        shards = [FairnessMonitor(window_size=window_size) for _ in range(n_shards)]
+        for sequence, (chunk, owner) in enumerate(zip(chunks, owners)):
+            shards[owner].commit(scored_chunk(*chunk), sequence=sequence)
+        merged = FairnessMonitor(window_size=window_size).load_state_dict(
+            FairnessMonitor.merge_state_dicts(
+                [shard.state_dict() for shard in shards], window_size=window_size
+            )
+        )
+        assert_means_are_fsums(merged)
+        assert merged.drift_status() == union.drift_status()
+        assert merged.density_status() == union.density_status()
+
+    def test_an_evicted_chunk_leaves_no_rounding_behind(self):
+        """1e16 + 1 rounds to 1e16 in a double; the exact total keeps the 1.
+        A left fold of the retained sums read 0.0 after the third commit."""
+        monitor = FairnessMonitor(window_size=3)
+        stream = (1e16, 1.0, -1e16, 2.0, 0.5)
+        for index, violation_sum in enumerate(stream):
+            monitor.commit(scored_chunk(1, violation_sum, 0.0))
+            retained = stream[max(0, index - 2) : index + 1]
+            assert monitor.drift_status().mean_violation == math.fsum(retained) / len(retained)
+            if index == 2:
+                assert monitor.drift_status().mean_violation == 1.0 / 3
+
+    def test_resumed_totals_are_rebuilt_from_the_chunks(self):
+        monitor = make_monitor()
+        feed(monitor, traffic_batches(6))
+        resumed = clone(monitor).load_state_dict(monitor.state_dict())
+        assert_means_are_fsums(resumed)
+        assert_same_state(monitor, resumed)
+
+
+class TestScoreAndCommit:
+    def test_score_reads_no_window_state(self):
+        monitor = make_monitor()
+        feed(monitor, traffic_batches(2))
+        before = monitor.state_dict()
+        predictions, group, y_true, X = traffic_batches(1, start=2)[0]
+        chunk = monitor.score(predictions, group, y_true=y_true, X=X)
+        after = monitor.state_dict()
+        for key in before:
+            np.testing.assert_array_equal(before[key], after[key], err_msg=key)
+        assert chunk.rows == chunk.violation_rows == chunk.log_density_rows == len(X)
+
+        updated = make_monitor()
+        feed(updated, traffic_batches(3))
+        assert monitor.commit(chunk) == 2
+        assert_same_state(monitor, updated)
+
+    def test_non_finite_sum_is_rejected_before_any_state_change(self, monkeypatch):
+        monitor = make_monitor()
+        feed(monitor, traffic_batches(2))
+        before = monitor.state_dict()
+        monkeypatch.setattr(monitor, "log_density_scores", lambda X: np.full(len(X), np.inf))
+        predictions, group, y_true, X = traffic_batches(1, start=2)[0]
+        with pytest.raises(ValidationError, match="not finite"):
+            monitor.update(predictions, group, y_true=y_true, X=X)
+        after = monitor.state_dict()
+        for key in before:
+            np.testing.assert_array_equal(before[key], after[key], err_msg=key)
+
+    def test_non_finite_chunk_sums_fail_validation_on_load(self):
+        monitor = make_monitor()
+        feed(monitor, traffic_batches(2))
+        state = monitor.state_dict()
+        state["chunk_sums_"] = state["chunk_sums_"].copy()
+        state["chunk_sums_"][0, 1] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            make_monitor().load_state_dict(state)
 
 
 class TestGroupChannel:

@@ -14,7 +14,7 @@ from repro.fairness import evaluate_predictions, report_from_counts
 from repro.fairness.streaming import StreamCounts
 from repro.serving import FairnessMonitor, MonitorThresholds, PredictionService, save_artifact
 from repro.serving.cli import main as cli_main
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import EventLog, MetricsRegistry
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +132,31 @@ class TestPredictionService:
         latency = registry.histogram("serving.request_latency_seconds")
         assert latency.count == 2
         assert latency.min >= 0.05 and latency.sum >= 0.1
+
+
+    def test_predict_and_score_leaves_the_chunk_uncommitted(self, serving_split, diffair_result):
+        """A fleet shard's path: the chunk comes back, the window stays empty,
+        and the stats and the request event are recorded as for predict."""
+        deploy = serving_split.deploy
+        profile = profile_partitions(serving_split.train)
+        monitor = FairnessMonitor(window_size=100, profile=profile)
+        events = EventLog(enabled=True)
+        service = PredictionService(diffair_result, monitor=monitor, events=events)
+        predictions, chunk = service.predict_and_score(
+            deploy.X[:9], deploy.group[:9], y_true=deploy.y[:9], sequence=7
+        )
+        assert monitor.n_seen == 0 and monitor.n_window == 0
+        assert service.stats.n_requests == 1 and service.stats.n_records == 9
+        assert [(r["sequence"], r["attributes"]["rows"]) for r in events.records()] == [(7, 9)]
+
+        monitor.commit(chunk, sequence=7)
+        direct = FairnessMonitor(window_size=100, profile=profile)
+        direct.update(predictions, deploy.group[:9], y_true=deploy.y[:9], X=deploy.X[:9], sequence=7)
+        for key, value in direct.state_dict().items():
+            np.testing.assert_array_equal(monitor.state_dict()[key], value, err_msg=key)
+
+        monitorless = PredictionService(diffair_result)
+        assert monitorless.predict_and_score(deploy.X[:3])[1] is None
 
 
 class TestFairnessMonitor:
