@@ -9,10 +9,12 @@ Constraints profiling primitive, kernel density estimation, fairness metrics,
 benchmark dataset surrogates, the baselines the paper compares against, and
 an experiment harness that regenerates every figure of the evaluation.
 
-Every method is exposed through one estimator surface: the
-:class:`~repro.interventions.Intervention` protocol and its registry
-(:func:`make_intervention`, :func:`available_interventions`), composed end to
-end by the :class:`~repro.interventions.FairnessPipeline` facade.
+Every method is exposed through one estimator surface: ConFair, DiffFair and
+the baselines each implement the :class:`~repro.interventions.Intervention`
+protocol, the registry (:func:`make_intervention`,
+:func:`available_interventions`) resolves them by the names the paper's
+figures use, and the :class:`~repro.interventions.FairnessPipeline` facade
+composes them end to end.
 
 Quickstart::
 
@@ -26,9 +28,9 @@ Quickstart::
 The pipeline loads the benchmark, splits it 70/15/15, fits the intervention
 (auto-tuning its degree on the validation split), trains the final model
 through the intervention's uniform ``make_model``, and evaluates the deploy
-set into a :class:`~repro.fairness.FairnessReport`.  The underlying
-estimators (``ConFair``, ``DiffFair``, the baselines) remain directly usable
-for fine-grained control.
+set into a :class:`~repro.fairness.FairnessReport`.  ``make_intervention``
+returns the estimator itself (``ConFair``, ``DiffFair``, a baseline), so
+``result.intervention`` exposes its weights, routes, and profile directly.
 
 Serving quickstart::
 
@@ -166,6 +168,22 @@ log-densities are bit-identical to the seed's, and backends are cached
 across fits of the same partition.
 """
 
+# repro.interventions comes first: its registration table imports the
+# estimators in repro.core and repro.baselines, which subclass
+# repro.interventions.base.Intervention.  Importing an estimator module first
+# would reach that table while the estimator module is still half-loaded
+# (a circular ImportError).
+from repro.interventions import (
+    DeployedModel,
+    FairnessPipeline,
+    Intervention,
+    InterventionCapabilities,
+    PipelineResult,
+    available_interventions,
+    describe_interventions,
+    make_intervention,
+    register_intervention,
+)
 from repro.baselines import (
     CapuchinRepair,
     KamiranReweighing,
@@ -195,17 +213,6 @@ from repro.exceptions import (
     ValidationError,
 )
 from repro.fairness import FairnessReport, evaluate_predictions
-from repro.interventions import (
-    DeployedModel,
-    FairnessPipeline,
-    Intervention,
-    InterventionCapabilities,
-    PipelineResult,
-    available_interventions,
-    describe_interventions,
-    make_intervention,
-    register_intervention,
-)
 from repro.learners import (
     GradientBoostingClassifier,
     LogisticRegressionClassifier,
@@ -218,7 +225,7 @@ from repro.telemetry import MetricsRegistry
 # Observability quickstart's `from repro import telemetry`.
 from repro import telemetry
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 # The serving subsystem consumes everything above (interventions, learners,
 # datasets), the simulation subsystem consumes serving, and the fleet

@@ -11,6 +11,10 @@
 * :class:`CapuchinRepair` (CAP) — the invasive comparator: repairs the
   categorical view of the data toward independence of group and label by
   resampling (Capuchin, SIGMOD 2019 — interface-level reimplementation).
+
+Each implements the :class:`~repro.interventions.Intervention` protocol
+itself and is registered as ``none``, ``multimodel``, ``kam``, ``omn`` and
+``cap`` respectively.
 """
 
 from repro.baselines.capuchin import CapuchinRepair

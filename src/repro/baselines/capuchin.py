@@ -20,14 +20,20 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.datasets.splits import DatasetSplit
 from repro.datasets.table import Dataset
 from repro.exceptions import ValidationError
-from repro.learners.base import BaseClassifier, BaseEstimator, clone
-from repro.learners.registry import make_learner
+from repro.interventions.base import (
+    DeployedModel,
+    Intervention,
+    InterventionCapabilities,
+    new_learner,
+)
+from repro.learners.base import BaseClassifier
 from repro.utils.random import check_random_state
 
 
-class CapuchinRepair(BaseEstimator):
+class CapuchinRepair(Intervention):
     """The CAP data-repair baseline.
 
     Parameters
@@ -50,6 +56,7 @@ class CapuchinRepair(BaseEstimator):
         Target row counts per (group, label) cell after the repair.
     """
 
+    capabilities = InterventionCapabilities(repairs_data=True)
     _state_attributes = ("repaired_", "cell_targets_")
 
     def __init__(
@@ -101,10 +108,17 @@ class CapuchinRepair(BaseEstimator):
     def fit_learner(self, learner: Optional[BaseClassifier] = None) -> BaseClassifier:
         """Train a learner on the repaired dataset."""
         self._check_fitted("repaired_")
-        model = learner if learner is not None else (
-            make_learner(self.learner, random_state=self.random_state)
-            if isinstance(self.learner, str)
-            else clone(self.learner)
-        )
+        model = new_learner(self.learner, self.random_state) if learner is None else learner
         model.fit(self.repaired_.X, self.repaired_.y)
         return model
+
+    def make_model(
+        self,
+        split: DatasetSplit,
+        *,
+        learner: Optional[object] = None,
+        seed: Optional[int] = None,
+    ) -> DeployedModel:
+        """The final learner trained on the repaired data."""
+        model = self.fit_learner(self._final_learner(learner, seed))
+        return DeployedModel.from_predictor(model, name=type(self).__name__)

@@ -13,13 +13,19 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.datasets.splits import DatasetSplit
 from repro.datasets.table import Dataset
 from repro.exceptions import ValidationError
-from repro.learners.base import BaseClassifier, BaseEstimator, clone
-from repro.learners.registry import make_learner
+from repro.interventions.base import (
+    DeployedModel,
+    Intervention,
+    InterventionCapabilities,
+    new_learner,
+)
+from repro.learners.base import BaseClassifier
 
 
-class KamiranReweighing(BaseEstimator):
+class KamiranReweighing(Intervention):
     """The KAM reweighing baseline.
 
     Parameters
@@ -37,6 +43,7 @@ class KamiranReweighing(BaseEstimator):
         The weight assigned to each (group, label) cell.
     """
 
+    capabilities = InterventionCapabilities(produces_weights=True)
     _state_attributes = ("weights_", "cell_weights_", "_train")
 
     def __init__(self, learner="lr", random_state: Optional[int] = 0) -> None:
@@ -74,10 +81,16 @@ class KamiranReweighing(BaseEstimator):
     def fit_learner(self, learner: Optional[BaseClassifier] = None) -> BaseClassifier:
         """Train a learner on the training data using the KAM weights."""
         self._check_fitted("weights_")
-        model = (
-            make_learner(self.learner, random_state=self.random_state)
-            if isinstance(self.learner, str)
-            else clone(self.learner)
-        ) if learner is None else learner
+        model = new_learner(self.learner, self.random_state) if learner is None else learner
         model.fit(self._train.X, self._train.y, sample_weight=self.weights_)
         return model
+
+    def make_model(
+        self,
+        split: DatasetSplit,
+        *,
+        learner: Optional[object] = None,
+        seed: Optional[int] = None,
+    ) -> DeployedModel:
+        """The final learner trained on ``split.train`` with :attr:`weights_`."""
+        return self._weighted_model(split, learner, seed)

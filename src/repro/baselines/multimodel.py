@@ -12,14 +12,20 @@ from typing import Optional
 
 import numpy as np
 
+from repro.datasets.splits import DatasetSplit
 from repro.datasets.table import Dataset
 from repro.exceptions import ValidationError
-from repro.learners.base import BaseClassifier, BaseEstimator, clone
-from repro.learners.registry import make_learner
+from repro.interventions.base import (
+    DeployedModel,
+    Intervention,
+    InterventionCapabilities,
+    new_learner,
+)
+from repro.learners.base import BaseClassifier
 from repro.utils.validation import check_array, check_binary_labels
 
 
-class MultiModel(BaseEstimator):
+class MultiModel(Intervention):
     """Group-membership-routed model splitting.
 
     Parameters
@@ -30,6 +36,7 @@ class MultiModel(BaseEstimator):
         Seed passed to learners created from a registry name.
     """
 
+    capabilities = InterventionCapabilities(routes=True, requires_group_at_predict=True)
     _state_attributes = ("model_majority_", "model_minority_", "n_features_")
 
     def __init__(self, learner="lr", random_state: Optional[int] = 0) -> None:
@@ -48,11 +55,7 @@ class MultiModel(BaseEstimator):
         return self
 
     def _fit_one(self, group_data: Dataset) -> BaseClassifier:
-        model = (
-            make_learner(self.learner, random_state=self.random_state)
-            if isinstance(self.learner, str)
-            else clone(self.learner)
-        )
+        model = new_learner(self.learner, self.random_state)
         model.fit(group_data.X, group_data.y)
         return model
 
@@ -92,3 +95,20 @@ class MultiModel(BaseEstimator):
         if (~majority_rows).any():
             probabilities[~majority_rows] = self.model_minority_.predict_proba(X[~majority_rows])
         return probabilities
+
+    def make_model(
+        self,
+        split: DatasetSplit,
+        *,
+        learner: Optional[object] = None,
+        seed: Optional[int] = None,
+    ) -> DeployedModel:
+        """Serve the fitted group models, routed by the declared group
+        (refitted on ``split.train`` when ``learner``/``seed`` differ from the
+        fit-time ones)."""
+        self._check_fitted("model_majority_")
+        return DeployedModel.from_predictor(
+            self._refit_unless_same(split, learner, seed),
+            requires_group=True,
+            name=type(self).__name__,
+        )

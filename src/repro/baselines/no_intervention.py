@@ -6,12 +6,17 @@ from typing import Optional
 
 import numpy as np
 
+from repro.datasets.splits import DatasetSplit
 from repro.datasets.table import Dataset
-from repro.learners.base import BaseEstimator, clone
-from repro.learners.registry import make_learner
+from repro.interventions.base import (
+    DeployedModel,
+    Intervention,
+    InterventionCapabilities,
+    new_learner,
+)
 
 
-class NoIntervention(BaseEstimator):
+class NoIntervention(Intervention):
     """Train a single model on unweighted data (the paper's reference point).
 
     Parameters
@@ -22,6 +27,7 @@ class NoIntervention(BaseEstimator):
         Seed passed to learners created from a registry name.
     """
 
+    capabilities = InterventionCapabilities()
     _state_attributes = ("model_",)
 
     def __init__(self, learner="lr", random_state: Optional[int] = 0) -> None:
@@ -30,11 +36,7 @@ class NoIntervention(BaseEstimator):
 
     def fit(self, train: Dataset, validation: Optional[Dataset] = None) -> "NoIntervention":
         """Fit the underlying learner; ``validation`` is accepted for API symmetry."""
-        model = (
-            make_learner(self.learner, random_state=self.random_state)
-            if isinstance(self.learner, str)
-            else clone(self.learner)
-        )
+        model = new_learner(self.learner, self.random_state)
         model.fit(train.X, train.y)
         self.model_ = model
         return self
@@ -48,3 +50,16 @@ class NoIntervention(BaseEstimator):
         """Class probabilities from the fitted learner."""
         self._check_fitted("model_")
         return self.model_.predict_proba(X)
+
+    def make_model(
+        self,
+        split: DatasetSplit,
+        *,
+        learner: Optional[object] = None,
+        seed: Optional[int] = None,
+    ) -> DeployedModel:
+        """Serve the fitted learner itself (refitted on ``split.train`` when
+        ``learner``/``seed`` differ from the fit-time ones)."""
+        self._check_fitted("model_")
+        estimator = self._refit_unless_same(split, learner, seed)
+        return DeployedModel.from_predictor(estimator.model_, name=type(self).__name__)

@@ -21,15 +21,24 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.datasets.splits import DatasetSplit
 from repro.datasets.table import Dataset
 from repro.exceptions import ValidationError
 from repro.fairness.metrics import disparate_impact_star, statistical_parity_difference
-from repro.learners.base import BaseClassifier, BaseEstimator, clone
+from repro.interventions.base import (
+    DeployedModel,
+    Intervention,
+    InterventionCapabilities,
+    new_learner,
+)
+from repro.learners.base import BaseClassifier
 from repro.learners.metrics import balanced_accuracy_score
-from repro.learners.registry import make_learner
+
+DEFAULT_LAM_GRID: Tuple[float, ...] = (0.0, 0.25, 0.5, 1.0, 1.5)
+"""Candidate λ values for OMN's automatic search (paper grid)."""
 
 
-class OmniFairReweighing(BaseEstimator):
+class OmniFairReweighing(Intervention):
     """The OMN reweighing baseline.
 
     Parameters
@@ -44,7 +53,8 @@ class OmniFairReweighing(BaseEstimator):
         Number of calibration iterations (retrain model, measure gap, adjust
         the cell deltas).
     lam_grid:
-        Candidate λ values for the automatic search.
+        Candidate λ values for the automatic search (default: the paper
+        grid, :data:`DEFAULT_LAM_GRID`).
     fairness_target:
         ``"di"`` (selection-rate gap, default), ``"fnr"``, or ``"fpr"`` —
         which gap the calibration tries to close.
@@ -61,6 +71,12 @@ class OmniFairReweighing(BaseEstimator):
         The per-cell weight deltas after calibration.
     """
 
+    capabilities = InterventionCapabilities(
+        produces_weights=True,
+        supports_calibration_transfer=True,
+        degree_param="lam",
+        requires_validation_for_tuning=True,
+    )
     _state_attributes = ("weights_", "lam_", "cell_deltas_", "_train")
 
     def __init__(
@@ -68,7 +84,7 @@ class OmniFairReweighing(BaseEstimator):
         lam: Optional[float] = None,
         learner="lr",
         n_calibration_rounds: int = 3,
-        lam_grid: Optional[Sequence[float]] = None,
+        lam_grid: Sequence[float] = DEFAULT_LAM_GRID,
         fairness_target: str = "di",
         random_state: Optional[int] = 0,
     ) -> None:
@@ -81,7 +97,7 @@ class OmniFairReweighing(BaseEstimator):
         self.lam = lam
         self.learner = learner
         self.n_calibration_rounds = n_calibration_rounds
-        self.lam_grid = tuple(lam_grid) if lam_grid is not None else tuple(np.linspace(0.0, 2.0, 9))
+        self.lam_grid = tuple(lam_grid)
         self.fairness_target = fairness_target
         self.random_state = random_state
 
@@ -120,7 +136,7 @@ class OmniFairReweighing(BaseEstimator):
             return weights, deltas
 
         for _ in range(self.n_calibration_rounds):
-            model = self._make_learner()
+            model = new_learner(self.learner, self.random_state)
             model.fit(train.X, train.y, sample_weight=weights)
             predictions = model.predict(train.X)
             gap = self._gap(train.y, predictions, train.group)
@@ -145,16 +161,30 @@ class OmniFairReweighing(BaseEstimator):
     def fit_learner(self, learner: Optional[BaseClassifier] = None) -> BaseClassifier:
         """Train a learner on the training data using the OMN weights."""
         self._check_fitted("weights_")
-        model = learner if learner is not None else self._make_learner()
+        model = new_learner(self.learner, self.random_state) if learner is None else learner
         model.fit(self._train.X, self._train.y, sample_weight=self.weights_)
         return model
 
-    # ------------------------------------------------------------ internals
-    def _make_learner(self) -> BaseClassifier:
-        if isinstance(self.learner, str):
-            return make_learner(self.learner, random_state=self.random_state)
-        return clone(self.learner)
+    # ------------------------------------------------------------- protocol
+    def make_model(
+        self,
+        split: DatasetSplit,
+        *,
+        learner: Optional[object] = None,
+        seed: Optional[int] = None,
+    ) -> DeployedModel:
+        """The final learner trained on ``split.train`` with :attr:`weights_`."""
+        return self._weighted_model(split, learner, seed)
 
+    def details(self) -> Dict[str, object]:
+        self._check_fitted("weights_")
+        return {"lambda": self.lam_}
+
+    def weights_for_degree(self, degree: float) -> np.ndarray:
+        """Weights at ``λ = degree`` (re-runs the model-in-the-loop calibration)."""
+        return self.compute_weights(None, float(degree))[0]
+
+    # ------------------------------------------------------------ internals
     def _gap(self, y_true, y_pred, group) -> float:
         """Signed fairness gap (minority minus majority) for the target metric."""
         from repro.fairness.metrics import group_rates
@@ -173,7 +203,7 @@ class OmniFairReweighing(BaseEstimator):
         best_key = (-np.inf, -np.inf)
         for lam in self.lam_grid:
             weights, _ = self.compute_weights(train, lam)
-            model = self._make_learner()
+            model = new_learner(self.learner, self.random_state)
             model.fit(train.X, train.y, sample_weight=weights)
             predictions = model.predict(validation.X)
             fairness = disparate_impact_star(validation.y, predictions, validation.group)

@@ -13,6 +13,7 @@ ConFair is the paper's single-model, non-invasive intervention.  It
 
 The resulting per-tuple weights are consumed by any learner that accepts
 ``sample_weight`` — the intervention never alters the data or the learner.
+:meth:`ConFair.make_model` trains the final learner on them.
 """
 
 from __future__ import annotations
@@ -24,11 +25,20 @@ import numpy as np
 
 from repro.core.partitions import profile_partitions
 from repro.core.tuning import tune_intervention_degree
+from repro.datasets.splits import DatasetSplit
 from repro.datasets.table import Dataset
 from repro.exceptions import ValidationError
-from repro.learners.base import BaseClassifier, BaseEstimator
-from repro.learners.registry import make_learner
+from repro.interventions.base import (
+    DeployedModel,
+    Intervention,
+    InterventionCapabilities,
+    new_learner,
+)
+from repro.learners.base import BaseClassifier
 from repro.profiling.discovery import DiscoveryConfig
+
+DEFAULT_TUNING_GRID: Tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+"""Candidate ``alpha_u`` values for ConFair's automatic search (paper grid)."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +63,7 @@ class ConFairWeights:
     conforming_majority: np.ndarray
 
 
-class ConFair(BaseEstimator):
+class ConFair(Intervention):
     """The ConFair reweighing intervention.
 
     Parameters
@@ -84,7 +94,8 @@ class ConFair(BaseEstimator):
     learner:
         Learner name or prototype used when auto-tuning ``alpha_u``.
     tuning_grid:
-        Candidate ``alpha_u`` values for the automatic search.
+        Candidate ``alpha_u`` values for the automatic search (default: the
+        paper grid, :data:`DEFAULT_TUNING_GRID`).
     random_state:
         Seed for the learners trained during tuning.
     n_jobs:
@@ -108,6 +119,12 @@ class ConFair(BaseEstimator):
         Details of the automatic search (``None`` when alphas were supplied).
     """
 
+    capabilities = InterventionCapabilities(
+        produces_weights=True,
+        supports_calibration_transfer=True,
+        degree_param="alpha_u",
+        requires_validation_for_tuning=True,
+    )
     # Everything predictions and degree sweeps depend on; the tuning search
     # trace (``tuning_result_``) is diagnostics-only and is not persisted.
     _state_attributes = (
@@ -132,7 +149,7 @@ class ConFair(BaseEstimator):
         discovery_config: Optional[DiscoveryConfig] = None,
         conformance_tol: float = 1e-9,
         learner="lr",
-        tuning_grid: Optional[Tuple[float, ...]] = None,
+        tuning_grid: Tuple[float, ...] = DEFAULT_TUNING_GRID,
         random_state: Optional[int] = 0,
         n_jobs: Optional[int] = None,
     ) -> None:
@@ -152,9 +169,7 @@ class ConFair(BaseEstimator):
         self.discovery_config = discovery_config
         self.conformance_tol = conformance_tol
         self.learner = learner
-        self.tuning_grid = tuple(tuning_grid) if tuning_grid is not None else tuple(
-            np.linspace(0.0, 3.0, 13)
-        )
+        self.tuning_grid = tuple(tuning_grid)
         self.random_state = random_state
         self.n_jobs = n_jobs
 
@@ -190,7 +205,7 @@ class ConFair(BaseEstimator):
                 weight_fn=lambda alpha_u: self.compute_weights(alpha_u=alpha_u).weights,
                 train=train,
                 validation=validation,
-                learner=self._make_learner(),
+                learner=new_learner(self.learner, self.random_state),
                 candidate_degrees=self.tuning_grid,
                 fairness_target=self.fairness_target,
                 n_jobs=self.n_jobs,
@@ -237,19 +252,34 @@ class ConFair(BaseEstimator):
     def fit_learner(self, learner: Optional[BaseClassifier] = None) -> BaseClassifier:
         """Train a learner on the fitted training data using the ConFair weights."""
         self._check_fitted("weights_")
-        model = learner if learner is not None else self._make_learner()
+        model = new_learner(self.learner, self.random_state) if learner is None else learner
         model.fit(self._train.X, self._train.y, sample_weight=self.weights_)
         return model
 
+    # ------------------------------------------------------------- protocol
+    def make_model(
+        self,
+        split: DatasetSplit,
+        *,
+        learner: Optional[object] = None,
+        seed: Optional[int] = None,
+    ) -> DeployedModel:
+        """The final learner trained on ``split.train`` with :attr:`weights_`."""
+        return self._weighted_model(split, learner, seed)
+
+    def details(self) -> Dict[str, object]:
+        self._check_fitted("weights_")
+        return {"alpha_u": self.alpha_u_, "alpha_w": self.alpha_w_}
+
+    def weights_for_degree(self, degree: float) -> np.ndarray:
+        """Weights at ``alpha_u = degree`` without re-profiling (Figs. 8/9).
+
+        ``alpha_w`` follows the constructor setting (``None`` keeps the
+        paper's ``alpha_u / 2`` policy).
+        """
+        return self.compute_weights(alpha_u=float(degree), alpha_w=self.alpha_w).weights
+
     # ------------------------------------------------------------ internals
-    def _make_learner(self) -> BaseClassifier:
-        if isinstance(self.learner, str):
-            return make_learner(self.learner, random_state=self.random_state)
-        # A prototype instance: clone it so repeated fits stay independent.
-        from repro.learners.base import clone
-
-        return clone(self.learner)
-
     def _compute_base_weights(self, train: Dataset) -> np.ndarray:
         """Line 5 of Algorithm 2: balance weights for population and label skew.
 

@@ -16,16 +16,22 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.partitions import profile_partitions
+from repro.datasets.splits import DatasetSplit
 from repro.datasets.table import Dataset
 from repro.exceptions import ValidationError
-from repro.learners.base import BaseClassifier, BaseEstimator, clone
-from repro.learners.registry import make_learner
+from repro.interventions.base import (
+    DeployedModel,
+    Intervention,
+    InterventionCapabilities,
+    new_learner,
+)
+from repro.learners.base import BaseClassifier
 from repro.profiling.discovery import DiscoveryConfig
 from repro.utils.parallel import thread_map
 from repro.utils.validation import check_array
 
 
-class DiffFair(BaseEstimator):
+class DiffFair(Intervention):
     """The DiffFair model-splitting intervention.
 
     Parameters
@@ -56,6 +62,7 @@ class DiffFair(BaseEstimator):
         Constraint sets per (group, label) partition of the training data.
     """
 
+    capabilities = InterventionCapabilities(routes=True)
     _state_attributes = (
         "model_majority_",
         "model_minority_",
@@ -113,7 +120,7 @@ class DiffFair(BaseEstimator):
         return self
 
     def _fit_group_model(self, group_data: Dataset) -> BaseClassifier:
-        model = self._make_learner()
+        model = new_learner(self.learner, self.random_state)
         if np.unique(group_data.y).size < 2:
             # Degenerate group (single label): the model will predict that
             # label everywhere; logistic/boosting handle this but guard for
@@ -121,11 +128,6 @@ class DiffFair(BaseEstimator):
             pass
         model.fit(group_data.X, group_data.y)
         return model
-
-    def _make_learner(self) -> BaseClassifier:
-        if isinstance(self.learner, str):
-            return make_learner(self.learner, random_state=self.random_state)
-        return clone(self.learner)
 
     def _validate(self, validation: Dataset) -> Dict[str, float]:
         """Per-group validation accuracy of the two models (diagnostics only)."""
@@ -191,6 +193,25 @@ class DiffFair(BaseEstimator):
         if (~majority_rows).any():
             probabilities[~majority_rows] = self.model_minority_.predict_proba(X[~majority_rows])
         return probabilities
+
+    # ------------------------------------------------------------- protocol
+    def make_model(
+        self,
+        split: DatasetSplit,
+        *,
+        learner: Optional[object] = None,
+        seed: Optional[int] = None,
+    ) -> DeployedModel:
+        """Serve with the fitted group models (refitted on ``split.train`` when
+        ``learner``/``seed`` differ from the fit-time ones)."""
+        self._check_fitted("model_majority_")
+        estimator = self._refit_unless_same(split, learner, seed)
+        routes = estimator.route(split.deploy.X)
+        return DeployedModel.from_predictor(
+            estimator,
+            details={"minority_model_fraction": float(np.mean(routes == 1))},
+            name=type(self).__name__,
+        )
 
     @property
     def validation_scores_(self) -> Dict[str, float]:

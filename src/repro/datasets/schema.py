@@ -91,11 +91,6 @@ class DatasetSpec:
                 "categorical_cardinalities length must match n_categorical when provided"
             )
 
-    @property
-    def n_attributes(self) -> int:
-        """Total number of attributes (numeric + categorical)."""
-        return self.n_numeric + self.n_categorical
-
     def scaled_size(self, size_factor: float) -> int:
         """Number of rows generated for a given ``size_factor``.
 

@@ -24,11 +24,6 @@ class ValidationError(ReproError, ValueError):
     """
 
 
-class ConvergenceError(ReproError):
-    """Raised when an iterative solver fails to converge and the caller
-    requested strict behaviour (``on_no_convergence="raise"``)."""
-
-
 class DatasetError(ReproError):
     """Raised for problems constructing, loading, or registering datasets."""
 

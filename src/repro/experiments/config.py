@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.baselines.omnifair import DEFAULT_LAM_GRID
+from repro.core.confair import DEFAULT_TUNING_GRID
 from repro.exceptions import ExperimentError
 
 DEFAULT_REAL_WORLD_DATASETS: Tuple[str, ...] = (
@@ -48,8 +50,8 @@ class ExperimentConfig:
     n_repeats: int = 3
     size_factor: Optional[float] = 0.05
     base_seed: int = 7
-    tuning_grid: Tuple[float, ...] = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
-    lam_grid: Tuple[float, ...] = (0.0, 0.25, 0.5, 1.0, 1.5)
+    tuning_grid: Tuple[float, ...] = DEFAULT_TUNING_GRID
+    lam_grid: Tuple[float, ...] = DEFAULT_LAM_GRID
 
     def __post_init__(self) -> None:
         if not self.datasets:

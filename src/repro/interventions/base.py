@@ -1,10 +1,12 @@
 """The ``Intervention`` protocol: one estimator surface for every method family.
 
 The paper's methods come in three families — reweighing (ConFair, KAM, OMN),
-model splitting (DiffFair, MultiModel), and data repair (CAP) — and each has a
-naturally different internal surface (``weights_`` vs. ``predict(X)`` vs.
-``predict(X, group)`` vs. ``fit_learner()``).  This module defines the single
-abstract protocol every intervention is adapted to:
+model splitting (DiffFair, MultiModel), and data repair (CAP) — plus the
+no-intervention reference.  Each family serves differently (a learner trained
+on ``weights_``, ``predict(X)``, ``predict(X, group)``, a learner trained on
+the repaired data), and each estimator in :mod:`repro.core` and
+:mod:`repro.baselines` subclasses :class:`Intervention` and implements the
+protocol itself:
 
 * construction with keyword hyper-parameters only, stored verbatim on
   ``self`` (the scikit-learn convention), which makes ``get_params`` /
@@ -20,6 +22,9 @@ Downstream code — the experiment runner, the :class:`FairnessPipeline`
 facade, user serving code — only ever talks to this protocol, so new
 interventions plug in by subclassing :class:`Intervention` and registering
 themselves (see :mod:`repro.interventions.registry`).
+
+This module imports nothing from :mod:`repro.core` or
+:mod:`repro.baselines`: they import it.
 """
 
 from __future__ import annotations
@@ -34,6 +39,13 @@ from repro.datasets.table import Dataset
 from repro.exceptions import ExperimentError, ValidationError
 from repro.learners.base import BaseClassifier, BaseEstimator, clone as clone_estimator
 from repro.learners.registry import make_learner
+
+
+def new_learner(learner, seed: Optional[int]) -> BaseClassifier:
+    """An unfitted learner from a registry name (seeded) or a prototype (cloned)."""
+    if isinstance(learner, str):
+        return make_learner(learner, random_state=seed)
+    return clone_estimator(learner)
 
 
 @dataclass(frozen=True)
@@ -237,6 +249,36 @@ class Intervention(BaseEstimator):
         """Build the final (deploy) model from a name, prototype, or default."""
         learner = self.get_params().get("learner", "lr") if learner is None else learner
         seed = self.get_params().get("random_state", 0) if seed is None else seed
-        if isinstance(learner, str):
-            return make_learner(learner, random_state=seed)
-        return clone_estimator(learner)
+        return new_learner(learner, seed)
+
+    def _weighted_model(self, split: DatasetSplit, learner, seed) -> DeployedModel:
+        """The reweighing families' model: the final learner fitted on
+        ``split.train`` with the fitted ``weights_``."""
+        self._check_fitted("weights_")
+        model = self._final_learner(learner, seed)
+        model.fit(split.train.X, split.train.y, sample_weight=self.weights_)
+        return DeployedModel.from_predictor(model, name=type(self).__name__)
+
+    def _refit_unless_same(self, split: DatasetSplit, learner, seed) -> "Intervention":
+        """This fitted intervention when ``(learner, seed)`` match the fit-time
+        ones, otherwise a clone refitted on ``split.train`` with them.
+
+        The families that fit their serving models during :meth:`fit`
+        (no intervention, model splitting) reuse those models this way.
+        """
+        if _same_final_model(self, learner, seed):
+            return self
+        refit = self.clone()
+        if learner is not None:
+            refit.learner = learner
+        if seed is not None:
+            refit.random_state = seed
+        return refit.fit(split.train)
+
+
+def _same_final_model(intervention: Intervention, learner, seed) -> bool:
+    """Whether ``make_model``'s requested (learner, seed) match the fit-time ones."""
+    fitted_learner = intervention.learner
+    same_learner = learner is None or learner is fitted_learner or learner == fitted_learner
+    same_seed = seed is None or seed == intervention.random_state
+    return bool(same_learner and same_seed)

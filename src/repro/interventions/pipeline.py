@@ -24,7 +24,6 @@ It supports the three workflows the paper's evaluation is built on:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -35,14 +34,18 @@ from repro.datasets.splits import DatasetSplit
 from repro.datasets.table import Dataset
 from repro.exceptions import ExperimentError
 from repro.fairness import FairnessReport, evaluate_predictions
-from repro.interventions.base import DeployedModel, Intervention, InterventionCapabilities
+from repro.interventions.base import (
+    DeployedModel,
+    Intervention,
+    InterventionCapabilities,
+    new_learner,
+)
 from repro.interventions.registry import (
     get_intervention_spec,
     intervention_accepts,
     make_intervention,
 )
-from repro.learners.base import BaseEstimator, clone as clone_estimator
-from repro.learners.registry import make_learner
+from repro.learners.base import BaseEstimator
 from repro.telemetry import span
 from repro.utils.parallel import thread_map
 from repro.utils.random import spawn_seeds
@@ -195,15 +198,12 @@ class FairnessPipeline(BaseEstimator):
         Per-repeat seeds are derived deterministically from ``base_seed``
         (matching the serial experiment harness), and each repeat builds its
         own split and intervention, so results are identical whether they are
-        computed serially or with ``n_jobs`` worker threads.
+        computed serially or with ``n_jobs`` worker threads (``None``/``1``
+        serial, ``-1`` one per CPU).
         """
         if n_repeats < 1:
             raise ExperimentError("n_repeats must be at least 1")
-        seeds = spawn_seeds(base_seed, n_repeats)
-        if n_jobs is not None and n_jobs > 1:
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                return list(pool.map(self.run, seeds))
-        return [self.run(seed) for seed in seeds]
+        return thread_map(self.run, spawn_seeds(base_seed, n_repeats), n_jobs=n_jobs)
 
     def sweep_degrees(
         self,
@@ -249,7 +249,7 @@ class FairnessPipeline(BaseEstimator):
             def evaluate(degree) -> DegreeSweepPoint:
                 with span("pipeline.sweep_point", degree=float(degree)):
                     weights = intervention.weights_for_degree(float(degree))
-                    model = self._final_learner(seed)
+                    model = new_learner(self.learner, seed)
                     model.fit(split.train.X, split.train.y, sample_weight=weights)
                     predictions = model.predict(split.deploy.X)
                     report = evaluate_predictions(
@@ -335,8 +335,3 @@ class FairnessPipeline(BaseEstimator):
         if params:
             intervention.set_params(**params)
         return intervention
-
-    def _final_learner(self, seed: int):
-        if isinstance(self.learner, str):
-            return make_learner(self.learner, random_state=seed)
-        return clone_estimator(self.learner)

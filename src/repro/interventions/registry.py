@@ -1,9 +1,10 @@
-"""Decorator-driven registry of fairness interventions.
+"""The registry of fairness interventions, keyed by method name.
 
-Interventions register themselves by name::
+Interventions register by name: the built-in methods through the table in
+:mod:`repro.interventions`, plug-ins through the decorator::
 
-    @register_intervention("confair", summary="conformance-driven reweighing")
-    class ConFairIntervention(Intervention):
+    @register_intervention("my-method", summary="what it does")
+    class MyMethod(Intervention):
         ...
 
 and callers resolve names through :func:`make_intervention`, which validates
@@ -32,7 +33,7 @@ _REGISTRY: Dict[str, "InterventionSpec"] = {}
 
 @dataclass(frozen=True)
 class InterventionSpec:
-    """One registry entry: the wrapper class plus name-specific presets."""
+    """One registry entry: the intervention class plus name-specific presets."""
 
     name: str
     cls: Type[Intervention]

@@ -13,7 +13,6 @@ rebuilds the needed substrate on top of numpy:
   building blocks.
 * :class:`StandardScaler`, :class:`MinMaxScaler`, :class:`OneHotEncoder` —
   preprocessing substrate.
-* :func:`train_test_split`, :class:`GridSearch` — evaluation substrate.
 
 Every estimator follows the familiar ``fit(X, y, sample_weight=None)`` /
 ``predict(X)`` / ``predict_proba(X)`` protocol declared in
@@ -34,7 +33,6 @@ from repro.learners.metrics import (
     recall_score,
     roc_auc_score,
 )
-from repro.learners.model_selection import GridSearch, train_test_split
 from repro.learners.registry import available_learners, make_learner
 from repro.learners.scaler import MinMaxScaler, StandardScaler
 from repro.learners.tree import DecisionTreeClassifier, DecisionTreeRegressor
@@ -46,7 +44,6 @@ __all__ = [
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",
     "GradientBoostingClassifier",
-    "GridSearch",
     "LogisticRegressionClassifier",
     "MinMaxScaler",
     "OneHotEncoder",
@@ -62,5 +59,4 @@ __all__ = [
     "precision_score",
     "recall_score",
     "roc_auc_score",
-    "train_test_split",
 ]

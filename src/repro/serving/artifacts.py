@@ -51,15 +51,6 @@ from repro.exceptions import ArtifactError, ReproError
 from repro.fairness.report import FairnessReport
 from repro.interventions.base import DeployedModel
 from repro.interventions.pipeline import PipelineResult
-from repro.interventions.wrappers import (
-    CapuchinIntervention,
-    ConFairIntervention,
-    DiffFairIntervention,
-    IdentityIntervention,
-    KamiranIntervention,
-    MultiModelIntervention,
-    OmniFairIntervention,
-)
 from repro.learners.base import BaseEstimator
 from repro.learners.boosting import GradientBoostingClassifier
 from repro.learners.encoder import OneHotEncoder
@@ -102,47 +93,18 @@ _SERIALIZABLE_CLASSES: Dict[str, Type[BaseEstimator]] = {
         OmniFairReweighing,
         CapuchinRepair,
         NoIntervention,
-        IdentityIntervention,
-        MultiModelIntervention,
-        DiffFairIntervention,
-        ConFairIntervention,
-        KamiranIntervention,
-        OmniFairIntervention,
-        CapuchinIntervention,
     )
 }
 
 
-# Classes whose estimators mutate their state arrays in place (at predict or
-# resume time).  Memory-mapped loading hands out read-only views shared
-# across worker processes, so these classes refuse mmap_mode instead of
-# failing later with a cryptic "array is read-only".
-_MMAP_UNSAFE_CLASSES: set = set()
-
-
-def register_serializable(cls: Optional[Type[BaseEstimator]] = None, *, mutates_arrays: bool = False):
+def register_serializable(cls: Type[BaseEstimator]) -> Type[BaseEstimator]:
     """Allowlist an estimator class for artifact (de)serialization.
 
     Usable as a decorator by downstream code that defines custom learners or
-    interventions and wants them to round-trip through artifacts.  Pass
-    ``mutates_arrays=True`` for estimators that write into their state
-    arrays after loading; such classes are rejected by
-    ``load_artifact(..., mmap_mode="r")``, whose arrays are read-only views
-    shared across processes.
+    interventions and wants them to round-trip through artifacts.
     """
-
-    def apply(target: Type[BaseEstimator]) -> Type[BaseEstimator]:
-        key = f"{target.__module__}.{target.__qualname__}"
-        _SERIALIZABLE_CLASSES[key] = target
-        if mutates_arrays:
-            _MMAP_UNSAFE_CLASSES.add(key)
-        else:
-            _MMAP_UNSAFE_CLASSES.discard(key)
-        return target
-
-    if cls is None:
-        return apply
-    return apply(cls)
+    _SERIALIZABLE_CLASSES[f"{cls.__module__}.{cls.__qualname__}"] = cls
+    return cls
 
 
 # --------------------------------------------------------------------------
@@ -157,8 +119,8 @@ class _Encoder:
     memoized by identity: the first encounter encodes the full node wrapped
     in ``shared``, later encounters emit a ``backref``.  That keeps shared
     structure shared — a ``PipelineResult`` whose ``model.predictor`` *is*
-    its ``intervention.estimator_`` stores the estimator once, and the
-    decoder restores the same object identity.
+    its ``intervention`` stores the estimator once, and the decoder restores
+    the same object identity.
     """
 
     _MEMOIZED_TYPES: tuple = (
@@ -341,15 +303,10 @@ class _Encoder:
 
 
 class _Decoder:
-    """Decode the JSON tree produced by :class:`_Encoder`.
+    """Decode the JSON tree produced by :class:`_Encoder`."""
 
-    ``mmap`` marks the arrays as read-only memory maps; estimator classes
-    registered with ``mutates_arrays=True`` are then refused up front.
-    """
-
-    def __init__(self, arrays, *, mmap: bool = False) -> None:
+    def __init__(self, arrays) -> None:
         self.arrays = arrays
-        self.mmap = mmap
         self._shared: Dict[int, Any] = {}
 
     def _fetch(self, ref: str) -> np.ndarray:
@@ -413,13 +370,6 @@ class _Decoder:
                 f"Artifact references estimator class {key}, which this build does "
                 "not provide (learner mismatch); register the class with "
                 "repro.serving.artifacts.register_serializable before loading"
-            )
-        if self.mmap and key in _MMAP_UNSAFE_CLASSES:
-            raise ArtifactError(
-                f"Estimator class {key} is registered with mutates_arrays=True "
-                "(it writes into its state arrays in place); memory-mapped "
-                "loading hands out read-only shared views — load this artifact "
-                "without mmap_mode"
             )
         estimator = cls(**self.decode(node["params"]))
         estimator.load_state_dict(self.decode(node["state"]))
@@ -516,24 +466,20 @@ def find_profile(loaded) -> Optional[PartitionProfile]:
 
     Accepts anything :func:`load_artifact` can return — a
     :class:`PipelineResult`, a :class:`DeployedModel`, or a bare fitted
-    intervention — and walks ``profile_`` / ``estimator_`` attributes to
-    locate the fit-time :class:`~repro.core.partitions.PartitionProfile`.
-    Used by every CLI and by the mitigation controller to build monitors
-    from saved or freshly refitted models.
+    intervention — and returns the first ``profile_`` (the fit-time
+    :class:`~repro.core.partitions.PartitionProfile`) found on the serving
+    predictor, the intervention, or the object itself.  Used by every CLI
+    and by the mitigation controller to build monitors from saved or
+    freshly refitted models.
     """
-    candidates = [loaded]
     if isinstance(loaded, PipelineResult):
-        candidates = [loaded.model.predictor, loaded.intervention, loaded.model]
-    elif hasattr(loaded, "predictor"):
-        candidates.insert(0, loaded.predictor)
+        candidates = (loaded.model.predictor, loaded.intervention)
+    else:
+        candidates = (getattr(loaded, "predictor", None), loaded)
     for candidate in candidates:
-        for attribute in ("profile_", "estimator_"):
-            inner = getattr(candidate, attribute, None)
-            if attribute == "profile_" and inner is not None:
-                return inner
-            profile = getattr(inner, "profile_", None)
-            if profile is not None:
-                return profile
+        profile = getattr(candidate, "profile_", None)
+        if profile is not None:
+            return profile
     return None
 
 
@@ -724,10 +670,10 @@ def load_artifact(path, *, mmap_mode: Optional[str] = None):
     cache beside the payload, and every load after that maps the raw files —
     N worker processes serving one artifact share a single physical copy of
     the weights.  The checksum is verified on *every* load (mmap included)
-    before the cache is trusted.  Artifacts containing estimator classes
-    registered with ``mutates_arrays=True`` refuse mmap (the views are
-    read-only); only ``"r"`` is supported — the cache is shared, so writable
-    modes would let one worker corrupt every other worker's model.
+    before the cache is trusted.  The mapped arrays are read-only views, so
+    a write into a loaded array raises; only ``"r"`` is supported — the
+    cache is shared, so writable modes would let one worker corrupt every
+    other worker's model.
     """
     if mmap_mode not in (None, "r"):
         raise ArtifactError(
@@ -749,7 +695,7 @@ def load_artifact(path, *, mmap_mode: Optional[str] = None):
         )
     if mmap_mode is not None:
         arrays = _mmap_payload(target, payload_path, actual)
-        return _Decoder(arrays, mmap=True).decode(manifest.get("root"))
+        return _Decoder(arrays).decode(manifest.get("root"))
     try:
         with np.load(payload_path, allow_pickle=False) as payload:
             arrays = {name: payload[name] for name in payload.files}

@@ -443,11 +443,6 @@ class MitigationController:
         """The primary service's flight recorder (swapped on promotion)."""
         return self.service.events
 
-    @property
-    def shadow_service(self) -> Optional[PredictionService]:
-        """The candidate being shadow-scored, if any."""
-        return self._shadow
-
     def close(self) -> None:
         """Close the primary service and any in-flight shadow candidate."""
         with self._lock:

@@ -10,10 +10,12 @@ from repro.baselines import (
     NoIntervention,
     OmniFairReweighing,
 )
+from repro.baselines.omnifair import DEFAULT_LAM_GRID
 from repro.core import ConFair, DiffFair
+from repro.core.confair import DEFAULT_TUNING_GRID
 from repro.exceptions import ExperimentError, NotFittedError, ValidationError
+from repro.experiments import ExperimentConfig
 from repro.interventions import (
-    ConFairIntervention,
     DeployedModel,
     FairnessPipeline,
     Intervention,
@@ -25,7 +27,7 @@ from repro.interventions import (
     register_intervention,
 )
 from repro.interventions.registry import _REGISTRY
-from repro.learners import make_learner
+from repro.learners import LogisticRegressionClassifier, make_learner
 
 CANONICAL_METHODS = (
     "none",
@@ -59,7 +61,7 @@ class TestRegistry:
             assert name in message
 
     def test_name_resolution_is_case_insensitive(self):
-        assert type(make_intervention("CONFAIR")) is ConFairIntervention
+        assert type(make_intervention("CONFAIR")) is ConFair
 
     def test_unknown_kwarg_rejected_with_accepted_list(self):
         with pytest.raises(ExperimentError) as excinfo:
@@ -90,7 +92,7 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ExperimentError):
-            register_intervention("confair")(ConFairIntervention)
+            register_intervention("confair")(ConFair)
 
     def test_non_intervention_class_rejected(self):
         class NotAnIntervention:
@@ -129,6 +131,14 @@ class TestRegistry:
         summaries = describe_interventions()
         assert all(summaries[name] for name in CANONICAL_METHODS)
 
+    def test_each_paper_grid_is_one_constant(self):
+        assert ConFair().tuning_grid == DEFAULT_TUNING_GRID
+        assert make_intervention("confair").tuning_grid == DEFAULT_TUNING_GRID
+        assert ExperimentConfig().tuning_grid == DEFAULT_TUNING_GRID
+        assert OmniFairReweighing().lam_grid == DEFAULT_LAM_GRID
+        assert make_intervention("omn").lam_grid == DEFAULT_LAM_GRID
+        assert ExperimentConfig().lam_grid == DEFAULT_LAM_GRID
+
 
 class TestProtocol:
     @pytest.mark.parametrize("name", CANONICAL_METHODS)
@@ -141,7 +151,7 @@ class TestProtocol:
         duplicate = intervention.clone()
         assert type(duplicate) is type(intervention)
         assert duplicate.get_params() == intervention.get_params()
-        assert not hasattr(duplicate, "estimator_")
+        assert duplicate.state_dict() == {}  # a clone carries no fitted state
 
     @pytest.mark.parametrize("name", CANONICAL_METHODS)
     def test_repr_shows_params(self, name):
@@ -187,6 +197,16 @@ class TestProtocol:
         assert predictions.shape[0] == drifted_split.deploy.n_samples
         assert set(np.unique(predictions)) <= {0, 1}
         assert isinstance(intervention.details(), dict)
+
+    @pytest.mark.parametrize("name", ["none", "multimodel", "diffair"])
+    def test_make_model_refits_for_another_learner_or_seed(self, name, drifted_split):
+        fitted = make_intervention(name, learner="lr", random_state=0).fit(drifted_split.train)
+        served = fitted.make_model(drifted_split, learner="xgb", seed=1)
+        fresh = make_intervention(name, learner="xgb", random_state=1).fit(drifted_split.train)
+        expected = fresh.make_model(drifted_split)
+        X, group = drifted_split.deploy.X, drifted_split.deploy.group
+        assert np.array_equal(served.predict(X, group=group), expected.predict(X, group=group))
+        assert fitted.get_params()["learner"] == "lr"  # the fitted one is left as it was
 
     def test_group_routed_model_demands_group(self, drifted_split):
         multimodel = make_intervention("multimodel").fit(drifted_split.train)
@@ -324,7 +344,8 @@ class TestFairnessPipeline:
         assert result.predictions.shape[0] == drifted_split.deploy.n_samples
         assert result.details["alpha_u"] == 1.0
         assert 0.0 <= result.report.balanced_accuracy <= 1.0
-        assert result.intervention.estimator_.alpha_u_ == 1.0
+        assert type(result.intervention) is ConFair
+        assert result.intervention.alpha_u_ == 1.0
         assert result.runtime_seconds > 0
 
     def test_run_matches_run_method(self, drifted_split):
@@ -335,13 +356,14 @@ class TestFairnessPipeline:
         assert np.array_equal(predictions, result.predictions)
 
     def test_accepts_intervention_prototype(self, drifted_split):
-        prototype = ConFairIntervention(alpha_u=1.0)
+        prototype = ConFair(alpha_u=1.0)
         result = FairnessPipeline(
             intervention=prototype, learner="lr", dataset=drifted_split, seed=4
         ).run()
         assert result.details["alpha_u"] == 1.0
+        assert result.method == "ConFair"
         # The prototype itself stays unfitted (the pipeline clones it).
-        assert not hasattr(prototype, "estimator_")
+        assert prototype.state_dict() == {}
 
     def test_named_dataset_loading(self):
         result = FairnessPipeline(
@@ -354,15 +376,37 @@ class TestFairnessPipeline:
             intervention="kam", learner="lr", dataset=drifted_split
         )
         serial = pipeline.run_repeated(3, base_seed=11)
-        parallel = pipeline.run_repeated(3, base_seed=11, n_jobs=3)
-        assert [r.seed for r in serial] == [r.seed for r in parallel]
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.predictions, b.predictions)
-            assert a.report == b.report
+        for n_jobs in (3, -1):
+            parallel = pipeline.run_repeated(3, base_seed=11, n_jobs=n_jobs)
+            assert [r.seed for r in serial] == [r.seed for r in parallel]
+            for a, b in zip(serial, parallel):
+                assert np.array_equal(a.predictions, b.predictions)
+                assert a.report == b.report
 
     def test_run_repeated_validates_n_repeats(self, drifted_split):
         with pytest.raises(ExperimentError):
             FairnessPipeline(dataset=drifted_split).run_repeated(0)
+
+    def test_run_repeated_rejects_zero_jobs(self, drifted_split):
+        with pytest.raises(ValidationError):
+            FairnessPipeline(intervention="kam", dataset=drifted_split).run_repeated(
+                2, n_jobs=0
+            )
+
+    def test_no_intervention_run_fits_one_learner(self, drifted_split, monkeypatch):
+        fitted = []
+        original_fit = LogisticRegressionClassifier.fit
+
+        def counting_fit(model, *args, **kwargs):
+            fitted.append(model)
+            return original_fit(model, *args, **kwargs)
+
+        monkeypatch.setattr(LogisticRegressionClassifier, "fit", counting_fit)
+        result = FairnessPipeline(
+            intervention="none", learner="lr", dataset=drifted_split, seed=1
+        ).run()
+        assert len(fitted) == 1
+        assert result.model.predictor is result.intervention.model_ is fitted[0]
 
     def test_sweep_degrees_matches_manual_weights_path(self, drifted_split):
         degrees = (0.0, 1.0, 2.0)
