@@ -1,7 +1,7 @@
 """Benchmark: the density layer on the path every caller takes.
 
-Two timings of the one scoring path (blockwise pairwise distances), on the
-meps surrogate:
+Two timings of the one scoring path (one gemm per block of query rows, the
+Gaussian summed in log space on its output), on the meps surrogate:
 
 * Gaussian ``score_samples`` of a 1,000-row query against the training
   numeric sample: the monitor's density channel on a 1000-row request;

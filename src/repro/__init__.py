@@ -163,9 +163,10 @@ records by sequence.  Every serving/simulation/fleet CLI takes
 
 Algorithm 3's density estimation runs on a batch-first engine
 (:mod:`repro.density`): ``KernelDensity(bandwidth, kernel)`` scores the
-whole query batch with the seed's blockwise pairwise-distance code, so its
-log-densities are bit-identical to the seed's, and backends are cached
-across fits of the same partition.
+whole query batch from one gemm per block of query rows, the Gaussian as a
+log-sum-exp worked in place on the gemm output (finite however far a row
+lies from the data), and backends are cached across fits of the same
+partition.
 """
 
 # repro.interventions comes first: its registration table imports the
@@ -225,7 +226,7 @@ from repro.telemetry import MetricsRegistry
 # Observability quickstart's `from repro import telemetry`.
 from repro import telemetry
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 # The serving subsystem consumes everything above (interventions, learners,
 # datasets), the simulation subsystem consumes serving, and the fleet

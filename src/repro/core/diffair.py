@@ -121,11 +121,6 @@ class DiffFair(Intervention):
 
     def _fit_group_model(self, group_data: Dataset) -> BaseClassifier:
         model = new_learner(self.learner, self.random_state)
-        if np.unique(group_data.y).size < 2:
-            # Degenerate group (single label): the model will predict that
-            # label everywhere; logistic/boosting handle this but guard for
-            # clarity of failure mode described in the paper (Section I).
-            pass
         model.fit(group_data.X, group_data.y)
         return model
 

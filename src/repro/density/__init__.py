@@ -6,10 +6,13 @@ substrate:
 
 * :class:`KernelDensity` — Gaussian / tophat / Epanechnikov KDE, plus
   Scott's and Silverman's bandwidth rules.  ``score_samples`` evaluates the
-  whole query batch through :class:`BruteBackend`: blockwise pairwise
-  distances, the seed's code unchanged, so log-densities and density ranks
-  are bit-identical to the seed's (the test suite keeps the seed
-  implementation in ``tests/density_reference.py`` as its oracle).
+  whole query batch through :class:`BruteBackend`, which returns log kernel
+  sums from one gemm per block of query rows.  The Gaussian is summed in log
+  space (a log-sum-exp), so its log-densities are finite however far a row
+  lies from the data and agree with the seed's to a few ulps; the compact
+  kernels keep the seed's arithmetic bit for bit.  The test suite keeps the
+  seed implementation in ``tests/density_reference.py`` as its oracle, and
+  checks Algorithm 3's kept rows against it.
 * Backends are memoized across fits by a content-keyed LRU
   (:func:`get_backend` / :func:`clear_backend_cache`), so Algorithm 3
   sweeps share one backend per partition.

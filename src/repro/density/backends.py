@@ -1,14 +1,24 @@
-"""Blockwise brute-force kernel sums for ``KernelDensity``, and their cache.
+"""Blockwise brute-force log kernel sums for ``KernelDensity``, and their cache.
 
 :class:`BruteBackend` holds the training sample and evaluates, for a whole
-batch of query rows at once, the *unnormalized kernel sum*
+batch of query rows at once, the log of the *unnormalized kernel sum*
 
-    ``S(x) = sum_i K(||x - x_i|| / h)``
+    ``log S(x) = log sum_i K(||x - x_i|| / h)``
 
 from blockwise pairwise distances, for every kernel
 (:class:`~repro.density.kde.KernelDensity` turns that into a normalized
-log-density).  It is the seed's blockwise code unchanged, so its sums are
-bit-identical to the seed's.
+log-density).  Each block makes one gemm against the training sample and
+works on its output:
+
+* the Gaussian kernel is evaluated in log space, in place on that one
+  buffer: ``E = -max(||x||^2 + ||y||^2 - 2 x.y, 0) / (2 h^2)`` and
+  ``log S = m + log sum exp(E - m)`` with ``m`` the row maximum (the
+  log-sum-exp of Blanchard, Higham & Higham, IMA J. Numer. Anal., 2021), so
+  it is finite however far a row lies from the data; only a row whose every
+  squared distance overflows scores ``-inf``;
+* the compact kernels (tophat, Epanechnikov) take the distances, the kernel
+  and the log of the sum, with arithmetic bit-identical to the seed's; a row
+  outside every kernel's support scores ``-inf``.
 
 Backends are memoized in a small module-level LRU keyed by a content
 fingerprint of the training sample, so repeated fits over the same partition
@@ -25,35 +35,63 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.density.kernels import kernel_by_name
+from repro.density.kernels import gaussian_kernel, kernel_by_name
 from repro.telemetry import get_registry as _get_telemetry_registry
 
 
 class BruteBackend:
-    """Blockwise brute-force evaluation (every kernel; the seed code path)."""
+    """Blockwise brute-force log kernel sums over one training sample.
+
+    Immutable once built: the training norms ``||y||^2`` are computed here,
+    once, and every query reuses them.
+    """
 
     def __init__(self, training_data: np.ndarray) -> None:
         self._train = training_data
+        self._train_sq = np.einsum("ij,ij->i", training_data, training_data)
 
-    def kernel_sums(self, X: np.ndarray, kernel: str, bandwidth: float) -> np.ndarray:
-        """Unnormalized kernel sums ``S(x)`` for every row of ``X``."""
+    def log_kernel_sums(self, X: np.ndarray, kernel: str, bandwidth: float) -> np.ndarray:
+        """``log S(x)``, the log of the unnormalized kernel sum, for every row of ``X``."""
         kernel_fn = kernel_by_name(kernel)
         train = self._train
-        n_train = train.shape[0]
-        sums = np.empty(X.shape[0], dtype=np.float64)
-        # Pairwise distances via the expansion ||a-b||^2 = ||a||^2 + ||b||^2
-        # - 2 a.b in bounded blocks, exactly as the seed implementation —
-        # byte-for-byte identical kernel sums.
-        train_sq = np.einsum("ij,ij->i", train, train)
-        block = max(1, int(4e6 // max(n_train, 1)))
+        train_sq = self._train_sq
+        out = np.empty(X.shape[0], dtype=np.float64)
+        # Pairwise squared distances via ||a-b||^2 = ||a||^2 + ||b||^2 - 2 a.b,
+        # in blocks of query rows that bound each block's n x m gemm output.
+        block = max(1, int(4e6 // max(train.shape[0], 1)))
         for start in range(0, X.shape[0], block):
             chunk = X[start : start + block]
             chunk_sq = np.einsum("ij,ij->i", chunk, chunk)
-            squared = chunk_sq[:, None] + train_sq[None, :] - 2.0 * (chunk @ train.T)
-            np.maximum(squared, 0.0, out=squared)
-            scaled = np.sqrt(squared) / bandwidth
-            sums[start : start + block] = kernel_fn(scaled).sum(axis=1)
-        return sums
+            gram = chunk @ train.T
+            if kernel_fn is gaussian_kernel:
+                out[start : start + block] = _gaussian_log_sums(gram, chunk_sq, train_sq, bandwidth)
+            else:
+                squared = chunk_sq[:, None] + train_sq[None, :] - 2.0 * gram
+                np.maximum(squared, 0.0, out=squared)
+                scaled = np.sqrt(squared) / bandwidth
+                with np.errstate(divide="ignore"):
+                    out[start : start + block] = np.log(kernel_fn(scaled).sum(axis=1))
+        return out
+
+
+def _gaussian_log_sums(
+    gram: np.ndarray, chunk_sq: np.ndarray, train_sq: np.ndarray, bandwidth: float
+) -> np.ndarray:
+    """``log sum_j exp(-d_ij^2 / (2 h^2))`` per row, in place on the gemm output ``gram``."""
+    energy = gram
+    energy *= -2.0
+    energy += chunk_sq[:, None]
+    energy += train_sq
+    np.maximum(energy, 0.0, out=energy)
+    energy *= -0.5 / (bandwidth * bandwidth)
+    peak = energy.max(axis=1)
+    # A row whose every squared distance overflowed has peak -inf; shifting
+    # by 0 instead keeps E - peak at -inf (not NaN), so the row scores -inf.
+    peak[np.isneginf(peak)] = 0.0
+    energy -= peak[:, None]
+    np.exp(energy, out=energy)
+    with np.errstate(divide="ignore"):
+        return peak + np.log(energy.sum(axis=1))
 
 
 # --------------------------------------------------------------------------

@@ -7,10 +7,10 @@ optimization, but the estimator is a proper normalized KDE so it is usable as
 a general substrate (and testable against analytic ground truth).
 
 ``score_samples`` is batch-first: the whole query matrix is evaluated by
-:class:`~repro.density.backends.BruteBackend` (blockwise pairwise distances,
-the seed's code unchanged) with no Python loop over rows, and the backend is
-memoized across fits of the same partition by the cache in
-:mod:`repro.density.backends`.
+:class:`~repro.density.backends.BruteBackend`, which returns log kernel sums
+(blockwise pairwise distances; the Gaussian summed in log space) with no
+Python loop over rows, and the backend is memoized across fits of the same
+partition by the cache in :mod:`repro.density.backends`.
 """
 
 from __future__ import annotations
@@ -22,6 +22,12 @@ from repro.density.kernels import kernel_by_name, log_normalization
 from repro.exceptions import ValidationError
 from repro.learners.base import BaseEstimator
 from repro.utils.validation import check_array
+
+
+MIN_BANDWIDTH = 1e-150
+"""Smallest bandwidth ``fit`` accepts: the Gaussian scales squared distances
+by ``1 / (2 h**2)``, which overflows a double once ``h`` is below about 5e-155
+(an exact zero distance would then score NaN)."""
 
 
 def scott_bandwidth(X: np.ndarray) -> float:
@@ -84,8 +90,11 @@ class KernelDensity(BaseEstimator):
                 )
         else:
             resolved = float(self.bandwidth)
-        if resolved <= 0:
-            raise ValidationError("bandwidth must resolve to a positive value")
+        if not resolved >= MIN_BANDWIDTH:
+            raise ValidationError(
+                f"bandwidth must resolve to a positive value of at least {MIN_BANDWIDTH:g}, "
+                f"got {resolved!r}"
+            )
 
         self.bandwidth_ = resolved
         self.training_data_ = X.copy()
@@ -112,8 +121,11 @@ class KernelDensity(BaseEstimator):
         """Return the log-density of each row of ``X`` under the fitted KDE.
 
         The whole batch is evaluated by the fitted backend in one vectorized
-        pass; rows with zero density (outside every kernel's support) score
-        ``-inf``.
+        pass, as ``log S(x) - log n + log-normalization`` with ``log S`` the
+        backend's log kernel sum.  A Gaussian log-density is finite however
+        far a row lies from the data (only a row whose squared distances all
+        overflow scores ``-inf``); under a compact kernel, a row outside every
+        kernel's support has zero density and scores ``-inf``.
         """
         self._check_fitted("training_data_")
         X = check_array(X, name="X")
@@ -123,10 +135,8 @@ class KernelDensity(BaseEstimator):
             )
         log_norm = log_normalization(self.kernel, self.bandwidth_, self.n_features_)
         n_train = self.training_data_.shape[0]
-        densities = self._get_backend().kernel_sums(X, self.kernel, self.bandwidth_)
-        with np.errstate(divide="ignore"):
-            log_density = np.log(densities) - np.log(n_train) + log_norm
-        return log_density
+        log_sums = self._get_backend().log_kernel_sums(X, self.kernel, self.bandwidth_)
+        return log_sums - np.log(n_train) + log_norm
 
     def score(self, X) -> float:
         """Total log-likelihood of ``X`` under the fitted KDE."""

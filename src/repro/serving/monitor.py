@@ -87,9 +87,12 @@ from repro.fairness.streaming import StreamCounts, fold_disparate_impact
 from repro.learners.base import BaseEstimator
 
 LOG_DENSITY_FLOOR = -700.0
-"""Clamp for ``-inf`` log-densities (zero density under a compact kernel):
-``exp(-700)`` sits just above the smallest positive double, so a clamped
-window mean stays finite while still signalling maximal drift."""
+"""Clamp for very low and ``-inf`` log-densities: ``exp(-700)`` sits just
+above the smallest normal double, so a clamped window mean stays finite
+while still signalling maximal drift.  Only the compact kernels (tophat,
+Epanechnikov) still score a row ``-inf``, outside every kernel's support;
+a Gaussian log-density is finite, except for a row whose squared distances
+to the training data all overflow."""
 
 _UNIT = 2**1074
 """Window sums are held as integer multiples of ``1 / _UNIT`` = 2**-1074, the
@@ -509,8 +512,8 @@ class FairnessMonitor(BaseEstimator):
         """Per-row log-density of the observed tuples under the training KDE.
 
         One batch ``score_samples`` call — the vectorized density engine —
-        with ``-inf`` (zero density under a compact kernel) clamped to
-        :data:`LOG_DENSITY_FLOOR` so window sums stay finite.
+        with scores below :data:`LOG_DENSITY_FLOOR`, ``-inf`` included,
+        clamped to it so window sums stay finite.
         """
         if self.density_estimator is None:
             raise ValidationError("FairnessMonitor has no density estimator to score with")

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from density_reference import ReferenceKernelDensity
 
 from repro.core import density_filter, density_filter_indices, profile_partitions
-from repro.core.density_filter import partition_density_ranks
+from repro.core.density_filter import iter_group_label_partitions, partition_density_ranks
+from repro.datasets import load_dataset, split_dataset
 from repro.exceptions import ConstraintError, ValidationError
 
 
@@ -38,6 +40,30 @@ class TestDensityFilterIndices:
     def test_indices_are_sorted_and_unique(self, rng):
         kept = density_filter_indices(rng.normal(size=(100, 2)), density_fraction=0.3)
         assert np.array_equal(kept, np.unique(kept))
+
+
+class TestSeedOracle:
+    """Algorithm 3 keeps exactly the rows the seed's KDE ranks densest.
+
+    The decision-equivalence oracle of the log-space Gaussian: on the
+    real-world surrogates, every (group, label) partition of the training
+    split keeps the same rows as the frozen seed implementation's ranking.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("size_factor", [0.02, 0.05])
+    @pytest.mark.parametrize("name", ["meps", "lsac", "credit", "acsp", "acsh", "acse"])
+    def test_kept_rows_match_seed_kde(self, name, size_factor, seed):
+        data = load_dataset(name, size_factor=size_factor, random_state=seed)
+        train = split_dataset(data, random_state=seed).train
+        partitions = list(iter_group_label_partitions(train.group, train.y))
+        assert len(partitions) == 4
+        for _, rows in partitions:
+            X = train.numeric_X[rows]
+            keep = min(max(int(round(0.2 * len(X))), min(10, len(X))), len(X))
+            seed_scores = ReferenceKernelDensity().fit(X).score_samples(X)
+            expected = np.sort(np.argsort(-seed_scores, kind="mergesort")[:keep])
+            np.testing.assert_array_equal(density_filter_indices(X), expected)
 
 
 class TestDensityFilterDataset:

@@ -27,6 +27,18 @@ class TestFit:
         with pytest.raises(ValidationError):
             DiffFair(learner="lr").fit(majority_only)
 
+    @pytest.mark.parametrize("learner", ["lr", "xgb"])
+    def test_single_label_minority_predicts_that_label(self, drifted_split, learner):
+        """A group whose training rows carry one label gets a model predicting it."""
+        train = drifted_split.train
+        keep = (train.group == 0) | (train.y == 0)
+        single_label = train.subset(np.flatnonzero(keep))
+        diffair = DiffFair(learner=learner).fit(single_label)
+        deploy = drifted_split.deploy.X
+        np.testing.assert_array_equal(
+            diffair.model_minority_.predict(deploy), np.zeros(len(deploy), dtype=np.int64)
+        )
+
     def test_predict_before_fit(self):
         with pytest.raises(NotFittedError):
             DiffFair().predict(np.zeros((2, 3)))

@@ -87,6 +87,12 @@ class TestKernelDensity:
         kde = KernelDensity(bandwidth=0.5).fit(rng.normal(size=(50, 2)))
         assert kde.bandwidth_ == 0.5
 
+    @pytest.mark.parametrize("bandwidth", [0.0, -0.5, float("nan"), 1e-160, 1e-200])
+    def test_too_small_bandwidth_rejected(self, rng, bandwidth):
+        # Below MIN_BANDWIDTH the Gaussian's 1 / (2 h**2) overflows.
+        with pytest.raises(ValidationError):
+            KernelDensity(bandwidth=bandwidth).fit(rng.normal(size=(10, 2)))
+
     def test_invalid_bandwidth_rule(self, rng):
         with pytest.raises(ValidationError):
             KernelDensity(bandwidth="magic").fit(rng.normal(size=(10, 2)))
