@@ -162,11 +162,11 @@ records by sequence.  Every serving/simulation/fleet CLI takes
 ``--events-out PATH``; ``repro-telemetry tail`` reads the dumps back.
 
 Algorithm 3's density estimation runs on a batch-first engine
-(:mod:`repro.density`): ``KernelDensity(bandwidth, kernel)`` scores the
-whole query batch from one gemm per block of query rows, the Gaussian as a
-log-sum-exp worked in place on the gemm output (finite however far a row
-lies from the data), and backends are cached across fits of the same
-partition.
+(:mod:`repro.density`): the Gaussian ``KernelDensity(bandwidth)``, with a
+fixed bandwidth or Scott's rule, scores the whole query batch from one gemm
+per block of query rows as a log-sum-exp worked in place on the gemm output
+(finite however far a row lies from the data), and backends are cached
+across fits of the same partition.
 """
 
 # repro.interventions comes first: its registration table imports the
@@ -226,7 +226,7 @@ from repro.telemetry import MetricsRegistry
 # Observability quickstart's `from repro import telemetry`.
 from repro import telemetry
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 # The serving subsystem consumes everything above (interventions, learners,
 # datasets), the simulation subsystem consumes serving, and the fleet

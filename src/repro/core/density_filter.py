@@ -7,10 +7,10 @@ per partition; constraints derived from the filtered partitions are much
 tighter, which Section IV-C of the paper shows is essential for both
 DiffFair and ConFair.
 
-Density estimation runs through the batch engine in :mod:`repro.density`:
-``score_samples`` evaluates each partition in one vectorized pass and the
-backend cache means repeated fits over the same partition (degree sweeps,
-profile rebuilds) share one backend.
+Density estimation runs through the batch engine in :mod:`repro.density`: a
+Gaussian KDE with Scott's bandwidth, whose ``score_samples`` evaluates each
+partition in one vectorized pass, and whose backend cache means repeated fits
+over the same partition (degree sweeps, profile rebuilds) share one backend.
 
 This module also owns the canonical **partition iterator**
 (:func:`iter_group_label_partitions`): both places that walk the four
@@ -21,7 +21,7 @@ re-rolling the double loop.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -67,8 +67,6 @@ def density_filter_indices(
     *,
     density_fraction: float = 0.2,
     min_keep: int = 10,
-    kernel: str = "gaussian",
-    bandwidth="scott",
 ) -> np.ndarray:
     """Return the indices of the densest rows of ``X`` (Algorithm 3, one partition).
 
@@ -81,8 +79,9 @@ def density_filter_indices(
     min_keep:
         Keep at least this many rows (bounded by the partition size), so tiny
         partitions still yield enough tuples to derive constraints from.
-    kernel, bandwidth:
-        Passed to :class:`repro.density.KernelDensity`.
+
+    Rows are ranked by a Gaussian :class:`repro.density.KernelDensity` with
+    Scott's bandwidth, fitted on ``X`` itself.
     """
     if not 0.0 < density_fraction <= 1.0:
         raise ValidationError("density_fraction must be in (0, 1]")
@@ -94,7 +93,7 @@ def density_filter_indices(
     if keep >= n_rows:
         return np.arange(n_rows)
 
-    estimator = KernelDensity(bandwidth=bandwidth, kernel=kernel).fit(X)
+    estimator = KernelDensity().fit(X)
     log_density = estimator.score_samples(X)
     order = np.argsort(-log_density, kind="mergesort")
     return np.sort(order[:keep])
@@ -105,8 +104,6 @@ def density_filter(
     *,
     density_fraction: float = 0.2,
     min_keep: int = 10,
-    kernel: str = "gaussian",
-    bandwidth="scott",
     n_jobs: Optional[int] = None,
 ) -> Dataset:
     """Apply Algorithm 3 to a dataset: keep the densest tuples of each partition.
@@ -127,39 +124,9 @@ def density_filter(
             dataset.numeric_X[partition_rows],
             density_fraction=density_fraction,
             min_keep=min_keep,
-            kernel=kernel,
-            bandwidth=bandwidth,
         )
         return partition_rows[local]
 
     keep_indices = thread_map(_filter_one, [rows for _, rows in partitions], n_jobs=n_jobs)
     all_indices = np.sort(np.concatenate(keep_indices))
     return dataset.subset(all_indices)
-
-
-def partition_density_ranks(
-    dataset: Dataset,
-    *,
-    kernel: str = "gaussian",
-    bandwidth="scott",
-    n_jobs: Optional[int] = None,
-) -> Dict[PartitionKey, np.ndarray]:
-    """Per-partition density ranks (0 = densest) keyed by ``(group, label)``.
-
-    Exposed for diagnostics and the ablation benchmarks; not needed by the
-    main algorithms.  ``n_jobs`` ranks the partitions on that many worker
-    threads (``None``/``1`` serial, ``-1`` one per CPU) with results keyed
-    in deterministic partition order — bit-identical to the serial run.
-    """
-    partitions = list(iter_group_label_partitions(dataset.group, dataset.y))
-
-    def _rank_one(rows: np.ndarray) -> np.ndarray:
-        if rows.size == 1:
-            return np.array([0])
-        estimator = KernelDensity(bandwidth=bandwidth, kernel=kernel).fit(
-            dataset.numeric_X[rows]
-        )
-        return estimator.density_rank(dataset.numeric_X[rows])
-
-    all_ranks = thread_map(_rank_one, [rows for _, rows in partitions], n_jobs=n_jobs)
-    return {key: ranks for (key, _), ranks in zip(partitions, all_ranks)}

@@ -4,15 +4,15 @@ Algorithm 3 of the paper ranks tuples by their estimated density and keeps
 the densest ``k`` tuples per partition.  This subpackage provides that
 substrate:
 
-* :class:`KernelDensity` — Gaussian / tophat / Epanechnikov KDE, plus
-  Scott's and Silverman's bandwidth rules.  ``score_samples`` evaluates the
+* :class:`KernelDensity` — the Gaussian KDE, with a fixed bandwidth or
+  Scott's rule (:func:`scott_bandwidth`).  ``score_samples`` evaluates the
   whole query batch through :class:`BruteBackend`, which returns log kernel
-  sums from one gemm per block of query rows.  The Gaussian is summed in log
-  space (a log-sum-exp), so its log-densities are finite however far a row
-  lies from the data and agree with the seed's to a few ulps; the compact
-  kernels keep the seed's arithmetic bit for bit.  The test suite keeps the
-  seed implementation in ``tests/density_reference.py`` as its oracle, and
-  checks Algorithm 3's kept rows against it.
+  sums from one gemm per block of query rows, summed in log space (a
+  log-sum-exp): log-densities are finite however far a row lies from the
+  data and agree with the seed's to a few ulps.  Rows whose norms would
+  overflow that expansion are scored from direct differences instead.  The
+  test suite keeps the seed implementation in ``tests/density_reference.py``
+  as its oracle, and checks Algorithm 3's kept rows against it.
 * Backends are memoized across fits by a content-keyed LRU
   (:func:`get_backend` / :func:`clear_backend_cache`), so Algorithm 3
   sweeps share one backend per partition.
@@ -43,27 +43,14 @@ from repro.density.backends import (
     clear_backend_cache,
     get_backend,
 )
-from repro.density.kde import KernelDensity, scott_bandwidth, silverman_bandwidth
-from repro.density.kernels import (
-    COMPACT_KERNELS,
-    epanechnikov_kernel,
-    gaussian_kernel,
-    kernel_by_name,
-    tophat_kernel,
-)
+from repro.density.kde import KernelDensity, scott_bandwidth
 
 __all__ = [
-    "COMPACT_KERNELS",
     "BruteBackend",
     "KernelDensity",
     "backend_cache_size",
     "backend_cache_stats",
     "clear_backend_cache",
-    "epanechnikov_kernel",
-    "gaussian_kernel",
     "get_backend",
-    "kernel_by_name",
     "scott_bandwidth",
-    "silverman_bandwidth",
-    "tophat_kernel",
 ]

@@ -1,24 +1,26 @@
-"""Blockwise brute-force log kernel sums for ``KernelDensity``, and their cache.
+"""Blockwise brute-force Gaussian log kernel sums for ``KernelDensity``, and their cache.
 
 :class:`BruteBackend` holds the training sample and evaluates, for a whole
-batch of query rows at once, the log of the *unnormalized kernel sum*
+batch of query rows at once, the log of the *unnormalized Gaussian kernel
+sum*
 
-    ``log S(x) = log sum_i K(||x - x_i|| / h)``
+    ``log S(x) = log sum_i exp(-||x - x_i||^2 / (2 h^2))``
 
-from blockwise pairwise distances, for every kernel
 (:class:`~repro.density.kde.KernelDensity` turns that into a normalized
 log-density).  Each block makes one gemm against the training sample and
-works on its output:
+works in log space, in place on that one buffer:
+``E = -max(||x||^2 + ||y||^2 - 2 x.y, 0) / (2 h^2)`` and
+``log S = m + log sum exp(E - m)`` with ``m`` the row maximum (the
+log-sum-exp of Blanchard, Higham & Higham, IMA J. Numer. Anal., 2021), so a
+row's score is finite however far it lies from the data; only a row whose
+every squared distance overflows scores ``-inf``.
 
-* the Gaussian kernel is evaluated in log space, in place on that one
-  buffer: ``E = -max(||x||^2 + ||y||^2 - 2 x.y, 0) / (2 h^2)`` and
-  ``log S = m + log sum exp(E - m)`` with ``m`` the row maximum (the
-  log-sum-exp of Blanchard, Higham & Higham, IMA J. Numer. Anal., 2021), so
-  it is finite however far a row lies from the data; only a row whose every
-  squared distance overflows scores ``-inf``;
-* the compact kernels (tophat, Epanechnikov) take the distances, the kernel
-  and the log of the sum, with arithmetic bit-identical to the seed's; a row
-  outside every kernel's support scores ``-inf``.
+The expansion overflows once ``||x|| + ||y||`` nears ``1.3e154``, where
+``inf - inf`` would score NaN or a saturated ``-2 x.y`` would score a far row
+as if it lay on the data.  Each backend therefore fixes, at build, the
+largest query ``||x||^2`` the expansion can take against its training rows;
+the rows of a block past it are scored from direct differences ``x - y``
+instead.
 
 Backends are memoized in a small module-level LRU keyed by a content
 fingerprint of the training sample, so repeated fits over the same partition
@@ -29,30 +31,38 @@ backend.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.density.kernels import gaussian_kernel, kernel_by_name
 from repro.telemetry import get_registry as _get_telemetry_registry
+
+_NORM_ROOM = math.sqrt(np.finfo(np.float64).max / 2.0)
+"""Bound on ``||x|| + ||y||`` below which the expansion stays finite: every
+term and partial sum of ``||x||^2 + ||y||^2 - 2 x.y`` is at most
+``(||x|| + ||y||)^2`` (Cauchy-Schwarz), and the factor of two covers the
+gemm's rounding."""
 
 
 class BruteBackend:
-    """Blockwise brute-force log kernel sums over one training sample.
+    """Blockwise brute-force Gaussian log kernel sums over one training sample.
 
-    Immutable once built: the training norms ``||y||^2`` are computed here,
-    once, and every query reuses them.
+    Immutable once built: the training norms ``||y||^2`` and the query norm
+    limit of the expansion are computed here, once, and every query reuses
+    them.
     """
 
     def __init__(self, training_data: np.ndarray) -> None:
         self._train = training_data
         self._train_sq = np.einsum("ij,ij->i", training_data, training_data)
+        room = _NORM_ROOM - math.sqrt(float(self._train_sq.max(initial=0.0)))
+        self._query_sq_limit = room * room if room > 0 else -1.0
 
-    def log_kernel_sums(self, X: np.ndarray, kernel: str, bandwidth: float) -> np.ndarray:
-        """``log S(x)``, the log of the unnormalized kernel sum, for every row of ``X``."""
-        kernel_fn = kernel_by_name(kernel)
+    def log_kernel_sums(self, X: np.ndarray, bandwidth: float) -> np.ndarray:
+        """``log S(x)``, the log of the unnormalized Gaussian kernel sum, for every row of ``X``."""
         train = self._train
         train_sq = self._train_sq
         out = np.empty(X.shape[0], dtype=np.float64)
@@ -62,27 +72,46 @@ class BruteBackend:
         for start in range(0, X.shape[0], block):
             chunk = X[start : start + block]
             chunk_sq = np.einsum("ij,ij->i", chunk, chunk)
-            gram = chunk @ train.T
-            if kernel_fn is gaussian_kernel:
-                out[start : start + block] = _gaussian_log_sums(gram, chunk_sq, train_sq, bandwidth)
+            if chunk_sq.max() <= self._query_sq_limit:
+                sums = _gaussian_log_sums(chunk @ train.T, chunk_sq, train_sq, bandwidth)
             else:
-                squared = chunk_sq[:, None] + train_sq[None, :] - 2.0 * gram
-                np.maximum(squared, 0.0, out=squared)
-                scaled = np.sqrt(squared) / bandwidth
-                with np.errstate(divide="ignore"):
-                    out[start : start + block] = np.log(kernel_fn(scaled).sum(axis=1))
+                sums = self._guarded_log_sums(chunk, chunk_sq, bandwidth)
+            out[start : start + block] = sums
         return out
+
+    def _guarded_log_sums(
+        self, chunk: np.ndarray, chunk_sq: np.ndarray, bandwidth: float
+    ) -> np.ndarray:
+        """A block holding rows past the norm limit: those rows from direct differences.
+
+        The expansion still runs on the whole block, so every row within the
+        limit keeps the bits of the common path; the overflow it meets in the
+        other rows is discarded with them.
+        """
+        far = chunk_sq > self._query_sq_limit
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = _gaussian_log_sums(chunk @ self._train.T, chunk_sq, self._train_sq, bandwidth)
+            diffs = (self._train - row for row in chunk[far])
+            squared = np.stack([np.einsum("ij,ij->i", diff, diff) for diff in diffs])
+            sums[far] = _log_sum_exp(squared, bandwidth)
+        return sums
 
 
 def _gaussian_log_sums(
     gram: np.ndarray, chunk_sq: np.ndarray, train_sq: np.ndarray, bandwidth: float
 ) -> np.ndarray:
     """``log sum_j exp(-d_ij^2 / (2 h^2))`` per row, in place on the gemm output ``gram``."""
-    energy = gram
-    energy *= -2.0
-    energy += chunk_sq[:, None]
-    energy += train_sq
-    np.maximum(energy, 0.0, out=energy)
+    squared = gram
+    squared *= -2.0
+    squared += chunk_sq[:, None]
+    squared += train_sq
+    np.maximum(squared, 0.0, out=squared)
+    return _log_sum_exp(squared, bandwidth)
+
+
+def _log_sum_exp(squared: np.ndarray, bandwidth: float) -> np.ndarray:
+    """``log sum_j exp(-squared_ij / (2 h^2))`` per row, in place on ``squared``."""
+    energy = squared
     energy *= -0.5 / (bandwidth * bandwidth)
     peak = energy.max(axis=1)
     # A row whose every squared distance overflowed has peak -inf; shifting
@@ -139,7 +168,7 @@ def get_backend(X: np.ndarray) -> BruteBackend:
 
     The cache key is the training sample's *content* (digest, shape,
     dtype), so two independent fits over the same partition share one
-    backend, whatever their kernel or bandwidth.
+    backend, whatever their bandwidth.
 
     The cache is **thread-safe and build-deduplicating**: concurrent callers
     may use it freely (parallel partition profiling, ``run_repeated``

@@ -9,10 +9,9 @@ The harness has three layers:
 * one module per paper artifact (``figure02`` … ``figure14``) — compose the
   cells each figure needs and render the same rows/series the paper reports.
 
-Beyond the paper, :mod:`repro.experiments.scenario_suite` replays a
-:mod:`repro.simulate` scenario suite against a deployed intervention and
-reports per-scenario drift-detection latency, false-alarm rate, fairness
-degradation, and serving throughput.
+Drift-detection reports over a deployed intervention are not figures of the
+paper: :meth:`repro.simulate.SuiteRunner.run` and ``repro-simulate suite``
+produce them.
 
 Every figure function returns a :class:`~repro.experiments.reporting.FigureResult`
 whose ``rows`` are plain dictionaries (easy to assert on in benchmarks) and
@@ -34,7 +33,6 @@ from repro.experiments.figure12 import run_figure12
 from repro.experiments.figure13 import run_figure13
 from repro.experiments.figure14 import run_figure14
 from repro.experiments.reporting import FigureResult, render_table
-from repro.experiments.scenario_suite import run_scenario_suite
 
 __all__ = [
     "AggregatedCell",
@@ -56,5 +54,4 @@ __all__ = [
     "run_figure13",
     "run_figure14",
     "run_intervention_sweep",
-    "run_scenario_suite",
 ]

@@ -131,19 +131,17 @@ class GradientBoostingClassifier(BaseClassifier):
         self.classes_ = np.array([0, 1])
         return self
 
-    def _check_X(self, X) -> np.ndarray:
-        """Validate ``X`` once for every tree: finite, and as wide as at fit."""
+    def decision_function(self, X) -> np.ndarray:
+        """Return the additive-model log-odds for every row of ``X``.
+
+        ``X`` is validated once for every tree: finite, and as wide as at fit.
+        """
         self._check_fitted("estimators_")
         X = check_array(X, name="X")
         if X.shape[1] != self.n_features_:
             raise ValueError(
                 f"X has {X.shape[1]} features, model was fitted with {self.n_features_}"
             )
-        return X
-
-    def decision_function(self, X) -> np.ndarray:
-        """Return the additive-model log-odds for every row of ``X``."""
-        X = self._check_X(X)
         scores = np.full(X.shape[0], self.init_score_, dtype=np.float64)
         for tree in self.estimators_:
             scores += self.learning_rate * tree._walk(X)
@@ -153,13 +151,3 @@ class GradientBoostingClassifier(BaseClassifier):
         """Return class probabilities of shape ``(n_samples, 2)``."""
         positive = _sigmoid(self.decision_function(X))
         return np.column_stack([1.0 - positive, positive])
-
-    def staged_decision_function(self, X) -> np.ndarray:
-        """Return log-odds after each boosting round, shape ``(n_estimators, n_samples)``."""
-        X = self._check_X(X)
-        scores = np.full(X.shape[0], self.init_score_, dtype=np.float64)
-        stages = np.empty((len(self.estimators_), X.shape[0]), dtype=np.float64)
-        for i, tree in enumerate(self.estimators_):
-            scores = scores + self.learning_rate * tree._walk(X)
-            stages[i] = scores
-        return stages

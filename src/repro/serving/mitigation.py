@@ -293,10 +293,7 @@ def calibrate_thresholds(
     # monitor's exact alarm predicates.
     def step_alarms(stats: Dict[str, float]) -> bool:
         if "conformance" in stats and base.violation is not None:
-            threshold = max(
-                calibrated.drift_factor * base.violation, calibrated.min_violation
-            )
-            if stats["conformance"] > threshold:
+            if stats["conformance"] > calibrated.violation_threshold(base.violation):
                 return True
         if "density" in stats and stats["density"] > calibrated.density_drop:
             return True

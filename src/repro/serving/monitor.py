@@ -89,10 +89,9 @@ from repro.learners.base import BaseEstimator
 LOG_DENSITY_FLOOR = -700.0
 """Clamp for very low and ``-inf`` log-densities: ``exp(-700)`` sits just
 above the smallest normal double, so a clamped window mean stays finite
-while still signalling maximal drift.  Only the compact kernels (tophat,
-Epanechnikov) still score a row ``-inf``, outside every kernel's support;
-a Gaussian log-density is finite, except for a row whose squared distances
-to the training data all overflow."""
+while still signalling maximal drift.  The Gaussian KDE's log-density is
+finite however far a row lies from the data, except for a row whose squared
+distances to the training data all overflow, which scores ``-inf``."""
 
 _UNIT = 2**1074
 """Window sums are held as integer multiples of ``1 / _UNIT`` = 2**-1074, the
@@ -232,6 +231,11 @@ class MonitorThresholds:
     def replace(self, **changes: Any) -> "MonitorThresholds":
         """A copy with the given fields replaced (validation re-runs)."""
         return replace(self, **changes)
+
+    def violation_threshold(self, baseline: float) -> float:
+        """The windowed mean violation the conformance channel alarms above,
+        ``max(drift_factor * baseline, min_violation)``."""
+        return max(self.drift_factor * baseline, self.min_violation)
 
 
 @dataclass(frozen=True)
@@ -631,8 +635,7 @@ class FairnessMonitor(BaseEstimator):
         else:
             ratio = float("inf") if mean > 0 else 1.0
         thresholds = self.thresholds
-        threshold = max(thresholds.drift_factor * baseline, thresholds.min_violation)
-        alarm = n >= thresholds.min_samples and mean > threshold
+        alarm = n >= thresholds.min_samples and mean > thresholds.violation_threshold(baseline)
         return DriftStatus(n, mean, baseline, ratio, alarm)
 
     def density_status(self) -> DensityDriftStatus:
@@ -692,8 +695,10 @@ class FairnessMonitor(BaseEstimator):
         which the statistic clears it (positive = alarming, assuming
         ``min_samples`` is met), the alarm verdict, and the scored count.
         Statistic/baseline/threshold values match :meth:`drift_status` /
-        :meth:`density_status` / :meth:`group_status` exactly — the report is
-        computed from the same status objects, not re-derived.
+        :meth:`density_status` / :meth:`group_status` exactly — the report
+        reads the same status objects, and the conformance threshold is the
+        one :meth:`MonitorThresholds.violation_threshold` the status compares
+        against.
 
         Also carries the windowed sequence range (which stream positions the
         verdict was computed over — the join keys into the event log and the
@@ -710,10 +715,7 @@ class FairnessMonitor(BaseEstimator):
                 threshold: Optional[float] = None
                 margin: Optional[float] = None
             else:
-                threshold = max(
-                    thresholds.drift_factor * drift.baseline_violation,
-                    thresholds.min_violation,
-                )
+                threshold = thresholds.violation_threshold(drift.baseline_violation)
                 margin = drift.mean_violation - threshold
             channels["conformance"] = {
                 "statistic": drift.mean_violation,

@@ -28,17 +28,16 @@ Design rules that make the contract hold:
   stream, they never overlap.
 
 Like the metrics registry, an ``EventLog`` is off by default and
-``emit`` costs one attribute read while off.  JSONL export/import
-(:meth:`EventLog.export_jsonl` / :meth:`EventLog.import_jsonl`) persists a
-log one JSON object per line, header first.
+``emit`` costs one attribute read while off.  A log persists through
+:meth:`EventLog.state_dict`: ``--events-out`` writes it into a JSON dump
+(:func:`repro.telemetry.write_events`) and ``repro-telemetry tail`` reads it
+back.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import deque
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import TelemetryError
@@ -119,7 +118,7 @@ class EventLog:
         ``sequence`` is the stream-wide stamp the event is keyed by
         (``-1`` for events that precede any sequenced traffic, e.g. a
         worker starting).  ``attributes`` must be JSON-serializable — they
-        travel through JSONL dumps and worker pipes verbatim.
+        travel through JSON dumps and worker pipes verbatim.
         """
         if not self.enabled:
             return None
@@ -281,46 +280,6 @@ class EventLog:
         state = cls.merge_state_dicts([log.state_dict() for log in logs])
         merged = cls(enabled=True, max_events=int(state["max_events"]))
         return merged.load_state_dict(state)
-
-    # --------------------------------------------------------------- JSONL
-    def export_jsonl(self, path) -> str:
-        """Write the log as JSON Lines: one header line, then one record per line."""
-        header = {
-            "events_version": EVENT_LOG_SCHEMA_VERSION,
-            "max_events": self.max_events,
-            "evicted_through": self._evicted_through,
-            "n_emitted": self._n_emitted,
-        }
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(json.dumps(record, sort_keys=True) for record in self.records())
-        target = Path(path)
-        target.write_text("\n".join(lines) + "\n")
-        return str(target)
-
-    @classmethod
-    def import_jsonl(cls, path) -> "EventLog":
-        """Load a log written by :meth:`export_jsonl`."""
-        try:
-            lines = [
-                line for line in Path(path).read_text().splitlines() if line.strip()
-            ]
-            parsed = [json.loads(line) for line in lines]
-        except (OSError, json.JSONDecodeError) as error:
-            raise TelemetryError(f"cannot read event log {path!r}: {error}") from error
-        if not parsed or "events_version" not in parsed[0]:
-            raise TelemetryError(
-                f"event log {path!r} is missing its header line"
-            )
-        header, records = parsed[0], parsed[1:]
-        state = {
-            "schema_version": header["events_version"],
-            "max_events": header.get("max_events", max(len(records), 1)),
-            "evicted_through": header.get("evicted_through"),
-            "n_emitted": header.get("n_emitted", len(records)),
-            "records": records,
-        }
-        log = cls(enabled=True, max_events=int(state["max_events"]))
-        return log.load_state_dict(state)
 
 
 def _validate_state(state: Any) -> Dict[str, Any]:

@@ -6,18 +6,96 @@ before the batch density engine replaced it.  It is the oracle of the engine's
 *frozen-equivalence guarantee*: ``tests/test_density_engine.py`` scores the
 same inputs through both implementations and asserts that log-densities and
 density ranks are **bit-identical**, so any numerical drift in the engine is
-caught immediately.
+caught immediately.  (Edited in 9.0.0 only to copy in, verbatim, the
+kernel, normalization and bandwidth helpers it imported from
+``repro.density``, where 9.0.0 deleted all but Scott's rule, so the oracle
+no longer moves with the code it checks.)
 """
 
 from __future__ import annotations
 
+import math
+from typing import Callable, Dict
+
 import numpy as np
 
-from repro.density.kde import scott_bandwidth, silverman_bandwidth
-from repro.density.kernels import kernel_by_name, log_normalization
 from repro.exceptions import ValidationError
 from repro.learners.base import BaseEstimator
 from repro.utils.validation import check_array
+
+# --------------------------------------------------------------------------
+# the seed's kernels, normalization and bandwidth rules (copied verbatim)
+# --------------------------------------------------------------------------
+
+
+def gaussian_kernel(scaled_distances: np.ndarray) -> np.ndarray:
+    """Gaussian kernel ``exp(-u^2 / 2)``."""
+    return np.exp(-0.5 * scaled_distances**2)
+
+
+def tophat_kernel(scaled_distances: np.ndarray) -> np.ndarray:
+    """Tophat (uniform) kernel: 1 inside the unit ball, 0 outside."""
+    return (scaled_distances <= 1.0).astype(np.float64)
+
+
+def epanechnikov_kernel(scaled_distances: np.ndarray) -> np.ndarray:
+    """Epanechnikov kernel ``max(0, 1 - u^2)``."""
+    return np.maximum(0.0, 1.0 - scaled_distances**2)
+
+
+_KERNELS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "gaussian": gaussian_kernel,
+    "tophat": tophat_kernel,
+    "epanechnikov": epanechnikov_kernel,
+}
+
+
+def kernel_by_name(name: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Look up a kernel function by name (case-insensitive)."""
+    key = name.strip().lower()
+    if key not in _KERNELS:
+        raise ValidationError(f"Unknown kernel {name!r}; available: {sorted(_KERNELS)}")
+    return _KERNELS[key]
+
+
+def unit_ball_volume(n_dims: int) -> float:
+    """Volume of the d-dimensional unit ball (used for tophat normalization)."""
+    return math.pi ** (n_dims / 2.0) / math.gamma(n_dims / 2.0 + 1.0)
+
+
+def log_normalization(kernel: str, bandwidth: float, n_dims: int) -> float:
+    """Log of the normalization constant making the kernel integrate to one."""
+    if bandwidth <= 0:
+        raise ValidationError("bandwidth must be positive")
+    if kernel == "gaussian":
+        return -0.5 * n_dims * math.log(2.0 * math.pi) - n_dims * math.log(bandwidth)
+    if kernel == "tophat":
+        return -math.log(unit_ball_volume(n_dims)) - n_dims * math.log(bandwidth)
+    if kernel == "epanechnikov":
+        # Integral of (1 - |u|^2) over the unit ball is V_d * 2 / (d + 2).
+        volume = unit_ball_volume(n_dims) * 2.0 / (n_dims + 2.0)
+        return -math.log(volume) - n_dims * math.log(bandwidth)
+    raise ValidationError(f"Unknown kernel {kernel!r}")
+
+
+def scott_bandwidth(X: np.ndarray) -> float:
+    """Scott's rule of thumb: ``n**(-1/(d+4))`` times the mean feature std."""
+    X = check_array(X, name="X")
+    n_samples, n_dims = X.shape
+    sigma = float(np.mean(X.std(axis=0)))
+    if sigma <= 0:
+        sigma = 1.0
+    return sigma * n_samples ** (-1.0 / (n_dims + 4.0))
+
+
+def silverman_bandwidth(X: np.ndarray) -> float:
+    """Silverman's rule of thumb: ``(n*(d+2)/4)**(-1/(d+4))`` times the mean std."""
+    X = check_array(X, name="X")
+    n_samples, n_dims = X.shape
+    sigma = float(np.mean(X.std(axis=0)))
+    if sigma <= 0:
+        sigma = 1.0
+    return sigma * (n_samples * (n_dims + 2.0) / 4.0) ** (-1.0 / (n_dims + 4.0))
 
 
 class ReferenceKernelDensity(BaseEstimator):

@@ -5,7 +5,7 @@ import pytest
 from density_reference import ReferenceKernelDensity
 
 from repro.core import density_filter, density_filter_indices, profile_partitions
-from repro.core.density_filter import iter_group_label_partitions, partition_density_ranks
+from repro.core.density_filter import iter_group_label_partitions
 from repro.datasets import load_dataset, split_dataset
 from repro.exceptions import ConstraintError, ValidationError
 
@@ -79,13 +79,6 @@ class TestDensityFilterDataset:
         before = drifted_dataset.n_samples
         density_filter(drifted_dataset, density_fraction=0.2)
         assert drifted_dataset.n_samples == before
-
-    def test_partition_density_ranks_shapes(self, drifted_dataset):
-        ranks = partition_density_ranks(drifted_dataset)
-        sizes = drifted_dataset.partition_sizes()
-        for key, rank in ranks.items():
-            assert len(rank) == sizes[key]
-            assert set(rank.tolist()) == set(range(sizes[key]))
 
 
 class TestProfilePartitions:

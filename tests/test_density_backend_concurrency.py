@@ -94,7 +94,7 @@ def test_hammer_mixed_keys_cache_integrity():
     expected = {}
     for seed, X in enumerate(samples):
         backend = get_backend(X)
-        expected[seed] = backend.log_kernel_sums(X[:20], "epanechnikov", 0.8)
+        expected[seed] = backend.log_kernel_sums(X[:20], 0.8)
     clear_backend_cache()
 
     def worker(thread_seed: int) -> None:
@@ -102,7 +102,7 @@ def test_hammer_mixed_keys_cache_integrity():
         for seed in order:
             X = samples[seed]
             backend = get_backend(X)
-            sums = backend.log_kernel_sums(X[:20], "epanechnikov", 0.8)
+            sums = backend.log_kernel_sums(X[:20], 0.8)
             np.testing.assert_array_equal(sums, expected[seed])
 
     with ThreadPoolExecutor(max_workers=N_THREADS) as pool:

@@ -4,41 +4,48 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.density import KernelDensity, scott_bandwidth, silverman_bandwidth
-from repro.density.kernels import kernel_by_name, log_normalization
+from repro.density import KernelDensity, scott_bandwidth
 from repro.exceptions import NotFittedError, ValidationError
 
 
 class TestKernels:
-    def test_lookup_known_kernels(self):
-        for name in ("gaussian", "tophat", "epanechnikov"):
-            assert callable(kernel_by_name(name))
+    def test_lookup_known_kernels(self, rng):
+        # The Gaussian is the one kernel, named in any case.
+        X = rng.normal(size=(60, 2))
+        expected = KernelDensity(kernel="gaussian").fit(X).score_samples(X)
+        for name in ("Gaussian", " GAUSSIAN "):
+            scores = KernelDensity(kernel=name).fit(X).score_samples(X)
+            assert scores.tobytes() == expected.tobytes()
 
-    def test_unknown_kernel(self):
-        with pytest.raises(ValidationError):
-            kernel_by_name("triangular")
+    def test_unknown_kernel(self, rng):
+        for name in ("triangular", "tophat", "epanechnikov", None):
+            with pytest.raises(ValidationError):
+                KernelDensity(kernel=name).fit(rng.normal(size=(10, 2)))
 
     def test_gaussian_normalization_1d(self):
-        # exp(log_norm) must equal 1/sqrt(2*pi*h^2) for d=1.
+        # One training point at 0: the density there is 1/sqrt(2*pi*h^2).
         h = 0.7
         expected = 1.0 / np.sqrt(2 * np.pi * h**2)
-        assert np.exp(log_normalization("gaussian", h, 1)) == pytest.approx(expected)
+        kde = KernelDensity(bandwidth=h).fit(np.zeros((1, 1)))
+        assert np.exp(kde.score_samples(np.zeros((1, 1)))[0]) == pytest.approx(expected)
 
-    def test_tophat_normalization_2d(self):
-        # Uniform on a disc of radius h: density 1/(pi h^2).
-        h = 2.0
-        assert np.exp(log_normalization("tophat", h, 2)) == pytest.approx(1.0 / (np.pi * h**2))
-
-    def test_invalid_bandwidth(self):
-        with pytest.raises(ValidationError):
-            log_normalization("gaussian", 0.0, 1)
+    def test_invalid_bandwidth(self, rng):
+        # Silverman's rule is gone; a zero bandwidth leaves no normalization,
+        # whether it is passed to fit or arrives in a loaded state.
+        X = rng.normal(size=(10, 2))
+        for bandwidth in ("silverman", 0.0):
+            with pytest.raises(ValidationError):
+                KernelDensity(bandwidth=bandwidth).fit(X)
+        kde = KernelDensity(bandwidth=0.5).fit(X)
+        kde.load_state_dict({**kde.state_dict(), "bandwidth_": 0.0})
+        with pytest.raises(ValidationError, match="positive"):
+            kde.score_samples(X)
 
 
 class TestBandwidthRules:
     def test_positive_for_random_data(self, rng):
         X = rng.normal(size=(100, 3))
         assert scott_bandwidth(X) > 0
-        assert silverman_bandwidth(X) > 0
 
     def test_shrinks_with_sample_size(self, rng):
         small = scott_bandwidth(rng.normal(size=(50, 2)))
@@ -63,7 +70,7 @@ class TestKernelDensity:
 
     def test_1d_gaussian_density_close_to_truth(self, rng):
         X = rng.normal(size=(3000, 1))
-        kde = KernelDensity(kernel="gaussian", bandwidth="silverman").fit(X)
+        kde = KernelDensity(kernel="gaussian", bandwidth="scott").fit(X)
         query = np.array([[0.0], [1.0], [2.0]])
         estimated = np.exp(kde.score_samples(query))
         truth = stats.norm.pdf(query.ravel())

@@ -1,7 +1,7 @@
 """Parallel-vs-serial equivalence of the fit-side hot path.
 
 The contract of ``n_jobs`` everywhere it appears (``profile_partitions``,
-``density_filter`` / ``partition_density_ranks``, ConFair/DiffFair fits, the
+``density_filter``, ConFair/DiffFair fits, the
 pipeline's ``fit_n_jobs``) is **bit-identical** output: partitions are
 independent and results are assembled in deterministic partition order,
 never completion order.
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.confair import ConFair
-from repro.core.density_filter import density_filter, partition_density_ranks
+from repro.core.density_filter import density_filter
 from repro.core.diffair import DiffFair
 from repro.core.partitions import profile_partitions
 from repro.datasets import make_drifted_groups
@@ -88,13 +88,6 @@ class TestDensityFilterParallel:
         np.testing.assert_array_equal(serial.numeric_X, parallel.numeric_X)
         np.testing.assert_array_equal(serial.y, parallel.y)
         np.testing.assert_array_equal(serial.group, parallel.group)
-
-    def test_partition_density_ranks_bit_identical(self, drifted_dataset):
-        serial = partition_density_ranks(drifted_dataset)
-        parallel = partition_density_ranks(drifted_dataset, n_jobs=-1)
-        assert list(serial) == list(parallel)
-        for key in serial:
-            np.testing.assert_array_equal(serial[key], parallel[key])
 
 
 class TestInterventionFitParallel:

@@ -203,7 +203,7 @@ class TestManifest:
 class TestKernelDensityRoundTrip:
     """A fitted KDE round-trips bit-identically."""
 
-    @pytest.mark.parametrize("kernel", ["gaussian", "tophat", "epanechnikov"])
+    @pytest.mark.parametrize("kernel", ["gaussian"])
     def test_score_samples_bit_identical(self, tmp_path, kernel):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(300, 2))
@@ -228,12 +228,27 @@ class TestKernelDensityRoundTrip:
         """KDE artifacts that still carry the ``algorithm`` param (removed in
         3.0.0) are refused, not silently migrated."""
         rng = np.random.default_rng(13)
-        kde = KernelDensity(kernel="tophat", bandwidth=0.5).fit(rng.normal(size=(200, 2)))
+        kde = KernelDensity(bandwidth=0.5).fit(rng.normal(size=(200, 2)))
         path = save_artifact(kde, tmp_path / "kde")
         manifest = read_manifest(path)
         manifest["root"]["value"]["params"]["items"].append(["algorithm", "auto"])
         (path / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(ArtifactError, match="algorithm"):
+            load_artifact(path)
+
+    @pytest.mark.parametrize("kernel", ["tophat", "epanechnikov"])
+    def test_removed_kernel_fails_to_load(self, tmp_path, kernel):
+        """KDE artifacts saved with a compact kernel (removed in 9.0.0) are
+        refused, not scored as a Gaussian."""
+        rng = np.random.default_rng(13)
+        kde = KernelDensity(bandwidth=0.5).fit(rng.normal(size=(200, 2)))
+        path = save_artifact(kde, tmp_path / "kde")
+        manifest = read_manifest(path)
+        items = manifest["root"]["value"]["params"]["items"]
+        assert ["kernel", "gaussian"] in items
+        items[items.index(["kernel", "gaussian"])] = ["kernel", kernel]
+        (path / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ArtifactError, match="kernel"):
             load_artifact(path)
 
 

@@ -267,7 +267,7 @@ class TestFairnessMonitor:
         from repro.density import KernelDensity
 
         train = serving_split.train
-        estimator = KernelDensity(kernel="epanechnikov", bandwidth=1.0).fit(train.numeric_X)
+        estimator = KernelDensity(kernel="gaussian", bandwidth=1.0).fit(train.numeric_X)
         monitor = FairnessMonitor(
             density_estimator=estimator, n_numeric_features=train.n_numeric_features
         )

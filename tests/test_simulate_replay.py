@@ -305,30 +305,6 @@ class TestCli:
         assert "Unknown scenario" in capsys.readouterr().err
 
 
-class TestScenarioSuiteExperiment:
-    def test_run_scenario_suite_reports_rows(self):
-        from repro.experiments import run_scenario_suite
-
-        figure = run_scenario_suite(
-            suite="default",
-            dataset="meps",
-            size_factor=0.02,
-            seed=SEED,
-            n_steps=14,
-            batch_size=60,
-            window_size=400,
-            use_density=False,
-        )
-        labels = [row["scenario"] for row in figure.rows]
-        assert labels == ["control", "group_shift", "covariate_shift", "burst"]
-        control = figure.filter_rows(scenario="control")[0]
-        assert control["detected"] is False
-        assert control["false_alarm_rate"] == 0.0
-        shifted = figure.filter_rows(scenario="group_shift")[0]
-        assert shifted["detected"] is True
-        assert figure.render()
-
-
 class TestNJobsForwarding:
     """The CLI ``--n-jobs`` knob reaches the fit and changes nothing else."""
 

@@ -5,8 +5,8 @@ logs fold into one fleet-level log **bit-identically to the log a single
 process would have recorded observing the union stream**, independent of
 shard split and merge order (hypothesis-tested below over random events and
 random per-sequence 4-way shard assignments — the fleet's shape).  Around
-it: the bounded-retention horizon, duplicate-key rejection, JSONL round
-trips, and the alarm-forensics promise that ``FairnessMonitor.alarm_report``
+it: the bounded-retention horizon, duplicate-key rejection, and the
+alarm-forensics promise that ``FairnessMonitor.alarm_report``
 values match the status objects exactly.
 """
 
@@ -215,25 +215,6 @@ class TestExactMerge:
                     "records": [{"sequence": 0, "index": 0, "kind": "bogus"}],
                 }
             )
-
-
-class TestJsonl:
-    def test_jsonl_round_trip_preserves_the_state(self, tmp_path):
-        log = EventLog(enabled=True, max_events=3)
-        for sequence in (1, 2, 3, 4):  # one eviction: horizon rides the header
-            log.emit("request", sequence=sequence, rows=sequence * 10)
-        log.emit("channel_snapshot", sequence=4, report={"alarmed": ["group"]})
-        path = log.export_jsonl(tmp_path / "events.jsonl")
-        restored = EventLog.import_jsonl(path)
-        assert restored.state_dict() == log.state_dict()
-
-    def test_import_requires_the_header(self, tmp_path):
-        target = tmp_path / "broken.jsonl"
-        target.write_text('{"sequence": 0, "index": 0, "kind": "request"}\n')
-        with pytest.raises(TelemetryError, match="header"):
-            EventLog.import_jsonl(target)
-        with pytest.raises(TelemetryError, match="cannot read"):
-            EventLog.import_jsonl(tmp_path / "missing.jsonl")
 
 
 class TestAlarmForensics:
